@@ -283,6 +283,43 @@ class DistanceAccelerator:
             "fault_epoch": self.fault_epoch,
         }
 
+    def value_signature(self) -> Optional[Hashable]:
+        """Hashable identity of the values this chip computes.
+
+        Chips with equal signatures return bit-identical results for
+        every input.  A healthy chip's values are fixed by its frozen
+        parameter dataclasses (the nonideality seed pins its systematic
+        errors), so identically built chips share one signature.  A
+        faulted chip adds itself and its fault epoch: re-injection and
+        recalibration bump the epoch and so retire the old signature.
+        ``None`` when the fault map draws read disturb — every settle
+        then sees fresh noise and no two results are interchangeable.
+        """
+        if self._read_disturbed():
+            return None
+        signature: Tuple[Hashable, ...] = (
+            self.params,
+            self.nonideality,
+            self.timing,
+            self.dac.spec,
+            self.adc.spec,
+            self.quantise_io,
+            self.solver,
+        )
+        if self.fault_state is not None:
+            signature += (self, self.fault_epoch)
+        return signature
+
+    def vectorizes(self, function: str, n: int, m: int) -> bool:
+        """True when :meth:`compute_many` settles same-shape ``(n, m)``
+        pairs of ``function`` in one vectorized pass: the workload fits
+        the array without tiling and no read disturb is drawn."""
+        if self._read_disturbed():
+            return False
+        if get_config(function).structure == "row":
+            return n <= self.usable_cols
+        return n <= self.usable_rows and m <= self.usable_cols
+
     @property
     def usable_rows(self) -> int:
         """Addressable PE rows after remapping around dead sites."""
@@ -296,6 +333,11 @@ class DistanceAccelerator:
         if self.fault_state is None:
             return self.params.array_cols
         return self.fault_state.usable_cols()
+
+    def _read_disturbed(self) -> bool:
+        """Does the attached fault map draw per-settle read noise?"""
+        state = self.fault_state
+        return state is not None and state.read_disturb_sigma > 0.0
 
     def _fault_adc_offset(self) -> float:
         """Additive ADC-reference offset of the attached fault map."""
@@ -360,17 +402,20 @@ class DistanceAccelerator:
         one, and both invalidate the settled value.  ``raw`` may be a
         scalar tap or an array of candidate taps.
         """
+        return bool(np.any(self._overflow_rows(voltages, raw)))
+
+    def _overflow_rows(self, voltages: np.ndarray, raw) -> np.ndarray:
+        """Per-row :meth:`_overflowed` of a ``(batch, n_blocks)``
+        settle whose output taps are ``raw`` (one per row)."""
         rail = self.params.vcc * 1.05
-        clipped = bool(
-            np.any(
-                np.asarray(raw)
-                > self.adc.spec.full_scale - self.adc.spec.lsb
-            )
+        clipped = (
+            np.asarray(raw)
+            > self.adc.spec.full_scale - self.adc.spec.lsb
         )
-        return bool(
+        return (
             clipped
-            or np.max(voltages) > rail
-            or np.min(voltages) < -rail
+            | (np.max(voltages, axis=-1) > rail)
+            | (np.min(voltages, axis=-1) < -rail)
         )
 
     # -- graph-template cache ----------------------------------------------
@@ -378,10 +423,7 @@ class DistanceAccelerator:
         """Cache usable now?  Time-varying read disturb draws fresh
         noise per *build* (stateful RNG), so a frozen template would
         pin one noise sample forever — bypass the cache entirely."""
-        if not self.use_template_cache:
-            return False
-        state = self.fault_state
-        return state is None or state.read_disturb_sigma == 0.0
+        return self.use_template_cache and not self._read_disturbed()
 
     def _template(
         self,
@@ -601,14 +643,20 @@ class DistanceAccelerator:
 
         When every pair shares one graph structure — same lengths, one
         ``weights`` argument, and the workload fits the array without
-        tiling — all pairs solve in a single vectorized settle of the
-        shared template (a ``(batch, n_const)`` rebind).  Each row of
-        the batched solve is bit-identical to the sequential
-        :meth:`compute` result; heterogeneous or tiled workloads fall
-        back to the sequential loop transparently.  This is the
-        primitive the BIST golden/probe runs and Monte-Carlo sweeps
-        amortize their settles with.  (Timing is never measured here;
-        use :meth:`compute` with ``measure_time=True`` for that.)
+        tiling (see :meth:`vectorizes`) — all pairs solve in a single
+        vectorized settle of the shared template (a ``(batch,
+        n_const)`` rebind), and the converter glue around it runs once
+        over the stacked inputs and output taps.  Each row is
+        bit-identical to the sequential :meth:`compute` result.
+        Heterogeneous or tiled workloads fall back to the sequential
+        loop transparently, and so do chips whose fault map draws read
+        disturb: every sequential build draws its own noise, which one
+        shared template would collapse into a single draw.  This is
+        the primitive the pool's coalesced settles (one solve for
+        every same-shape request of a drain), the BIST golden/probe
+        runs and the Monte-Carlo sweeps amortize their settles with.
+        (Timing is never measured here; use :meth:`compute` with
+        ``measure_time=True`` for that.)
         """
         config = get_config(function)
         checked = []
@@ -621,7 +669,11 @@ class DistanceAccelerator:
         if not checked:
             return []
 
-        def sequential() -> "List[AcceleratorResult]":
+        shapes = {
+            (p_arr.shape[0], q_arr.shape[0]) for p_arr, q_arr in checked
+        }
+        n, m = next(iter(shapes))
+        if len(shapes) != 1 or not self.vectorizes(function, n, m):
             return [
                 self.compute(
                     function,
@@ -634,65 +686,56 @@ class DistanceAccelerator:
                 )
                 for p_arr, q_arr in checked
             ]
-
-        shapes = {
-            (p_arr.shape[0], q_arr.shape[0]) for p_arr, q_arr in checked
-        }
-        if len(shapes) != 1:
-            return sequential()
-        n, m = shapes.pop()
         threshold_v = float(threshold) * self.params.voltage_resolution
+        pvs = self._encode_inputs(np.stack([p for p, _ in checked]))
+        qvs = self._encode_inputs(np.stack([q for _, q in checked]))
         if config.structure == "row":
-            if n > self.usable_cols:
-                return sequential()
-            w = as_weight_vector(weights, n)
-            pv0 = self._encode_inputs(checked[0][0])
-            qv0 = self._encode_inputs(checked[0][1])
             template = self._row_segment_template(
-                config, pv0, qv0, w, threshold_v
+                config,
+                pvs[0],
+                qvs[0],
+                as_weight_vector(weights, n),
+                threshold_v,
             )
             conversion = self.dac.load_time(2 * n) + self.adc.read_time(1)
         else:
-            if not (n <= self.usable_rows and m <= self.usable_cols):
-                return sequential()
-            w = as_weight_matrix(weights, n, m)
-            pv0 = self._encode_inputs(checked[0][0])
-            qv0 = self._encode_inputs(checked[0][1])
             template = self._single_tile_template(
-                config, pv0, qv0, w, threshold_v, band, paper_errata
+                config,
+                pvs[0],
+                qvs[0],
+                as_weight_matrix(weights, n, m),
+                threshold_v,
+                band,
+                paper_errata,
             )
             conversion = self.dac.load_time(n + m) + self.adc.read_time(1)
 
-        pvs = np.stack(
-            [self._encode_inputs(p_arr) for p_arr, _ in checked]
+        voltages = self._solve(template.bind({"p": pvs, "q": qvs}))
+        raws = voltages[:, template.out]
+        adcs = (
+            self.adc.convert(raws + self._fault_adc_offset())
+            if self.quantise_io
+            else raws
         )
-        qvs = np.stack(
-            [self._encode_inputs(q_arr) for _, q_arr in checked]
-        )
-        bound = template.bind({"p": pvs, "q": qvs})
-        voltages = self._solve(bound)
-        results: "List[AcceleratorResult]" = []
-        for b in range(len(checked)):
-            raw = float(voltages[b, template.out])
-            adc_v = self._adc_read(raw)
-            # Row structure reports the post-ADC segment sum as its raw
-            # voltage (mirroring _compute_row's single-segment case).
-            raw_field = adc_v if config.structure == "row" else raw
-            results.append(
-                AcceleratorResult(
-                    function=config.name,
-                    value=self._decode(config, adc_v),
-                    raw_voltage=raw_field,
-                    adc_voltage=adc_v,
-                    convergence_time_s=None,
-                    conversion_time_s=conversion,
-                    total_time_s=None,
-                    tiles=1,
-                    overflow=self._overflowed(voltages[b], raw),
-                    n_blocks=template.n_blocks,
-                )
+        overflows = self._overflow_rows(voltages, raws)
+        # Row structure reports the post-ADC segment sum as its raw
+        # voltage (mirroring _compute_row's single-segment case).
+        raw_fields = adcs if config.structure == "row" else raws
+        return [
+            AcceleratorResult(
+                function=config.name,
+                value=self._decode(config, adcs[b]),
+                raw_voltage=float(raw_fields[b]),
+                adc_voltage=float(adcs[b]),
+                convergence_time_s=None,
+                conversion_time_s=conversion,
+                total_time_s=None,
+                tiles=1,
+                overflow=bool(overflows[b]),
+                n_blocks=template.n_blocks,
             )
-        return results
+            for b in range(len(checked))
+        ]
 
     def _require_row_config(self, function: str) -> FunctionConfig:
         config = get_config(function)

@@ -3,7 +3,7 @@
 Times the vectorized execution engine (levelized settles + graph
 template cache + batched solves) against the seed engine's behaviour
 (Jacobi sweeps, graph rebuilt per settle) on three representative
-workloads:
+workloads, plus one batched-versus-sequential case:
 
 * ``single_dtw`` — repeated DTW n=40 ``compute`` on the paper's
   128x128 array (single tile; the template cache is warm after the
@@ -11,7 +11,11 @@ workloads:
 * ``tiled_dtw`` — DTW n=40 on a 16x16 array (nine DP tiles per query;
   exercises the boundary-rebinding path);
 * ``batch_manhattan`` — one 128-wide ``batch_pairs`` settle of n=16
-  Manhattan comparisons (the dynamic batcher's primitive).
+  Manhattan comparisons (the dynamic batcher's primitive);
+* ``batch_dtw`` — 32 DTW n=16 pairs through one ``compute_many``
+  against 32 sequential ``compute`` calls on the same warm chip (the
+  pool's coalesced-settle primitive; here the baseline is the default
+  engine one query at a time, not the seed engine).
 
 Every case checks bit-identical values between the two engines before
 timing — a benchmark of a wrong answer is worse than no benchmark.
@@ -30,9 +34,14 @@ import numpy as np
 from ..accelerator import DistanceAccelerator
 from ..accelerator.params import PAPER_PARAMS
 
-#: Acceptance floors (see ISSUE 4): warm-cache single compute and the
-#: batched settle must beat the seed engine by at least this much.
-SPEEDUP_FLOOR = {"single_dtw": 5.0, "batch_manhattan": 3.0}
+#: Acceptance floors: warm-cache single compute and the batched settle
+#: must beat the seed engine by at least this much, and a coalesced
+#: ``compute_many`` must beat the same chip's sequential loop.
+SPEEDUP_FLOOR = {
+    "single_dtw": 5.0,
+    "batch_manhattan": 3.0,
+    "batch_dtw": 3.0,
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -163,7 +172,7 @@ def run_engine_bench(
     repeats: Optional[int] = None,
     seed: int = 0,
 ) -> BenchReport:
-    """Run the three-case engine benchmark.
+    """Run the four-case engine benchmark.
 
     ``smoke`` keeps the repeat count minimal for CI; ``repeats``
     overrides it.  The baseline accelerators disable the template
@@ -231,6 +240,24 @@ def run_engine_bench(
             lambda: seed_chip.batch_pairs(
                 "manhattan", batch_pairs
             ).values,
+            repeats,
+        )
+    )
+
+    # 4. 32 DTW n=16 pairs: one coalesced compute_many against the
+    #    same warm chip's sequential compute loop.
+    dtw_pairs = [
+        (rng.normal(size=16), rng.normal(size=16)) for _ in range(32)
+    ]
+    cases.append(
+        _time_case(
+            "batch_dtw",
+            lambda: np.array(
+                [r.value for r in fast_chip.compute_many("dtw", dtw_pairs)]
+            ),
+            lambda: np.array(
+                [fast_chip.compute("dtw", p, q).value for p, q in dtw_pairs]
+            ),
             repeats,
         )
     )

@@ -11,6 +11,10 @@ submit/drain interface, with
   arriving within a window coalesce into one
   :meth:`DistanceAccelerator.batch_pairs` settle, the architecture's
   1-vs-many parallelism;
+* **coalesced settles** — matrix-structure queries of one shape in a
+  drain share one vectorized :meth:`DistanceAccelerator.compute_many`
+  simulation per chip signature, while each keeps its own virtual-time
+  schedule (host-side only; results are bit-identical);
 * **result caching** — an LRU keyed on (function, quantised inputs,
   weights) absorbs repeated queries before they touch a shard;
 * **bounded queues** — per-shard admission control sheds load instead
@@ -52,7 +56,11 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..accelerator import DistanceAccelerator, ReconfigurationCost
+from ..accelerator import (
+    AcceleratorResult,
+    DistanceAccelerator,
+    ReconfigurationCost,
+)
 from ..accelerator.configurations import get_config
 from ..accelerator.power import accelerator_power
 from ..baselines.literature import CALIBRATED_OURS_PER_ELEMENT_S
@@ -68,6 +76,19 @@ from .batcher import DynamicBatcher
 from .cache import ResultCache
 from .metrics import MetricsRegistry
 from .resilience import BreakerConfig, CircuitBreaker, RetryPolicy
+
+#: Most requests one coalesced settle solves: per-pair cost flattens
+#: out around here (DTW n=16), and the cap bounds the ``(rows,
+#: n_blocks)`` voltage arrays of one solve.
+COALESCE_MAX_ROWS = 64
+
+#: Request kwargs :meth:`DistanceAccelerator.compute_many` accepts.
+_COALESCE_KWARGS = frozenset({"threshold", "band", "paper_errata"})
+
+#: Entries of the ``latency_model="measured"`` settle memo.  Keys
+#: carry the chip signature, so every fault epoch adds entries; the
+#: bound keeps a long fault campaign from growing it without limit.
+_SETTLE_MEMO_CAPACITY = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,6 +359,12 @@ class AcceleratorPool:
         self._first_arrival: Optional[float] = None
         self._last_finish = 0.0
         self._settle_cache: Dict[Tuple, float] = {}
+        # Per-drain settle coalescing state (see _compute).
+        self._settle_groups: Dict[Hashable, List[PoolRequest]] = {}
+        self._settle_key_of: Dict[int, Hashable] = {}
+        self._settled_rows: Dict[
+            Tuple[Hashable, int], AcceleratorResult
+        ] = {}
         self._energy_j = 0.0
         self._row_busy_s = 0.0
         self._bist_runner = None
@@ -427,13 +454,20 @@ class AcceleratorPool:
             self._pending, key=lambda r: (r.arrival_s, r.id)
         )
         self._pending = []
-        for request in requests:
-            if self._first_arrival is None:
-                self._first_arrival = request.arrival_s
-            self._maybe_bist(request.arrival_s)
-            self._flush_due(request.arrival_s)
-            self._admit(request)
-        self._flush_remaining()
+        if len(requests) > 1:
+            self._index_settles(requests)
+        try:
+            for request in requests:
+                if self._first_arrival is None:
+                    self._first_arrival = request.arrival_s
+                self._maybe_bist(request.arrival_s)
+                self._flush_due(request.arrival_s)
+                self._admit(request)
+            self._flush_remaining()
+        finally:
+            self._settle_groups = {}
+            self._settle_key_of = {}
+            self._settled_rows = {}
         self._virtual_now = max(self._virtual_now, self._last_finish)
         done = [self.responses[r.id] for r in requests]
         return sorted(done, key=lambda resp: resp.request_id)
@@ -850,9 +884,9 @@ class AcceleratorPool:
         shard.health = "healthy"
         shard.quarantined = False
         shard.current_function = None
-        # Values and settle probes from the old chip are stale.
+        # Values from the old chip are stale.  (Settle probes need no
+        # clearing: they are keyed by chip signature.)
         self.cache.clear()
-        self._settle_cache.clear()
         self.metrics.counter("shards_replaced").inc()
         return shard
 
@@ -864,6 +898,23 @@ class AcceleratorPool:
         self.metrics.counter("reconfigurations").inc()
         return self.reconfiguration.switch_time(0)
 
+    @staticmethod
+    def _structure_key(request: PoolRequest) -> Hashable:
+        """Everything that shapes the block graph a request settles.
+
+        A weighted request programs a different conductance pattern
+        than an unweighted one of the same lengths, and kwargs
+        (threshold, band) change the comparator network.
+        """
+        w = request.weights
+        return (
+            request.function,
+            request.p.shape[0],
+            request.q.shape[0],
+            None if w is None else (w.shape, w.tobytes()),
+            tuple(sorted(request.kwargs.items())),
+        )
+
     def _settle_time(
         self, shard: _Shard, request: PoolRequest
     ) -> float:
@@ -871,23 +922,17 @@ class AcceleratorPool:
         n = int(max(request.p.shape[0], request.q.shape[0]))
         if self.config.latency_model == "calibrated":
             return CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-        # Settle time depends on the programmed conductance pattern,
-        # not just the operating shape: a weighted request builds a
-        # different graph than an unweighted one of the same lengths,
-        # and kwargs (threshold, band) change the comparator network.
-        w = request.weights
-        weights_digest = (
-            None if w is None else (w.shape, w.tobytes())
-        )
-        key = (
-            request.function,
-            request.p.shape[0],
-            request.q.shape[0],
-            weights_digest,
-            tuple(sorted(request.kwargs.items())),
-        )
+        # Settle time depends on the programmed graph and on the chip:
+        # a faulted or recalibrated chip settles differently from a
+        # healthy one, so the chip's value signature is part of the
+        # key (read-disturbed chips, which have none, key on identity).
+        acc = shard.accelerator
+        chip = acc.value_signature()
+        if chip is None:
+            chip = (acc, acc.fault_epoch)
+        key = (chip, self._structure_key(request))
         if key not in self._settle_cache:
-            probe = shard.accelerator.compute(
+            probe = acc.compute(
                 request.function,
                 request.p,
                 request.q,
@@ -895,8 +940,87 @@ class AcceleratorPool:
                 measure_time=True,
                 **request.kwargs,
             )
+            if len(self._settle_cache) >= _SETTLE_MEMO_CAPACITY:
+                # Oldest first: retired chips' entries never hit again.
+                del self._settle_cache[next(iter(self._settle_cache))]
             self._settle_cache[key] = probe.convergence_time_s
         return self._settle_cache[key]
+
+    def _index_settles(self, requests: List[PoolRequest]) -> None:
+        """Group a drain's requests by settle key for :meth:`_compute`.
+
+        Only keys shared by two or more requests are kept: a lone
+        request has nothing to share its settle with.  (Row-structure
+        requests the batcher serves are indexed too but never looked
+        up.)
+        """
+        groups: Dict[Hashable, List[PoolRequest]] = {}
+        for request in requests:
+            if not set(request.kwargs) <= _COALESCE_KWARGS:
+                continue
+            groups.setdefault(
+                self._structure_key(request), []
+            ).append(request)
+        self._settle_groups = {
+            key: group for key, group in groups.items() if len(group) > 1
+        }
+        self._settle_key_of = {
+            request.id: key
+            for key, group in self._settle_groups.items()
+            for request in group
+        }
+
+    def _compute(
+        self, acc: DistanceAccelerator, request: PoolRequest
+    ) -> AcceleratorResult:
+        """``acc``'s result for ``request``, from a coalesced settle.
+
+        The first request of a settle key to execute on a chip solves,
+        in one :meth:`DistanceAccelerator.compute_many` call, itself
+        plus up to ``COALESCE_MAX_ROWS - 1`` other unserved requests of
+        the drain sharing its key.  The extra rows are kept under the
+        chip's value signature, so a later request placed on any chip
+        with the same signature takes its row instead of settling
+        again; on a chip with another signature it settles anew.  Each
+        row is bit-identical to ``acc.compute`` on that request, and
+        all virtual-time bookkeeping stays per request in the caller —
+        only the host-side simulation is shared.
+        """
+        key = self._settle_key_of.get(request.id)
+        signature = None if key is None else acc.value_signature()
+        row = self._settled_rows.pop((signature, request.id), None)
+        if row is not None:
+            return row
+        if signature is None or not acc.vectorizes(
+            request.function, request.p.shape[0], request.q.shape[0]
+        ):
+            return acc.compute(
+                request.function,
+                request.p,
+                request.q,
+                weights=request.weights,
+                **request.kwargs,
+            )
+        group = [request]
+        for other in self._settle_groups[key]:
+            if len(group) >= COALESCE_MAX_ROWS:
+                break
+            if (
+                other is request
+                or other.id in self.responses
+                or (signature, other.id) in self._settled_rows
+            ):
+                continue
+            group.append(other)
+        results = acc.compute_many(
+            request.function,
+            [(r.p, r.q) for r in group],
+            weights=request.weights,
+            **request.kwargs,
+        )
+        for other, result in zip(group[1:], results[1:]):
+            self._settled_rows[(signature, other.id)] = result
+        return results[0]
 
     def _finish_execution(
         self,
@@ -969,13 +1093,7 @@ class AcceleratorPool:
         start = max(request.arrival_s, shard.busy_until)
         reconfig = self._reconfigure(shard, request.function)
         acc = shard.accelerator
-        result = acc.compute(
-            request.function,
-            request.p,
-            request.q,
-            weights=request.weights,
-            **request.kwargs,
-        )
+        result = self._compute(acc, request)
         if result.overflow:
             self.metrics.counter("overflow").inc()
         service = (
@@ -1220,8 +1338,8 @@ class PoolBackend:
     """:class:`AcceleratorPool` behind the DistanceBackend protocol.
 
     Lets the mining layer route template-bank searches through the
-    pool: a ``batch`` call submits one request per candidate, and the
-    dynamic batcher coalesces them into row settles.  Requests shed by
+    pool: a ``batch`` call submits one request per candidate and
+    drains them together, so they coalesce (see :meth:`batch`).  Requests shed by
     admission control are re-submitted with seeded exponential-backoff
     re-arrival times (``retry_policy``); a request whose deadline
     passes raises :class:`~repro.errors.DeadlineExceededError`.
@@ -1350,6 +1468,13 @@ class PoolBackend:
         weights=None,
         **kwargs,
     ) -> np.ndarray:
+        """Distances from ``query`` to every candidate, in one drain.
+
+        Row-structure candidates coalesce in the dynamic batcher;
+        matrix-structure fan-outs (1-NN DTW, LCS, ...) share one
+        vectorized settle simulation per chip signature (see
+        :meth:`AcceleratorPool._compute`).
+        """
         submitted = []
         base = self.pool.virtual_now
         for index, candidate in enumerate(candidates):

@@ -28,8 +28,10 @@ from repro.analog import (
 )
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.faults import (
+    DriftFault,
     FaultInjector,
     FaultState,
+    ReadDisturbFault,
     StuckAtFault,
     recalibrate,
 )
@@ -242,6 +244,86 @@ class TestBatchedSolve:
             assert result.adc_voltage == single.adc_voltage
             assert result.overflow == single.overflow
 
+    @pytest.mark.parametrize(
+        "function, lengths, kwargs",
+        [
+            ("dtw", (10, 10), {"band": 0.2}),
+            ("dtw", (10, 7), {}),
+            ("edit", (9, 9), {"threshold": 0.5, "paper_errata": True}),
+            ("lcs", (8, 11), {"threshold": 0.5}),
+        ],
+    )
+    def test_compute_many_matches_sequential_kwargs(
+        self, function, lengths, kwargs, rng
+    ):
+        n, m = lengths
+        pairs = [
+            (rng.normal(size=n), rng.normal(size=m)) for _ in range(4)
+        ]
+        chip = DistanceAccelerator()
+        self._assert_rows_match(chip, function, pairs, **kwargs)
+
+    @pytest.mark.parametrize("function", ("dtw", "manhattan"))
+    def test_compute_many_matches_sequential_weights(
+        self, function, rng
+    ):
+        n = 8
+        shape = (n,) if function == "manhattan" else (n, n)
+        weights = rng.uniform(0.5, 1.5, size=shape)
+        pairs = [
+            (rng.normal(size=n), rng.normal(size=n)) for _ in range(4)
+        ]
+        self._assert_rows_match(
+            DistanceAccelerator(), function, pairs, weights=weights
+        )
+
+    @pytest.mark.parametrize("function", ("dtw", "hausdorff", "manhattan"))
+    def test_compute_many_matches_sequential_faulted_chip(
+        self, function, rng
+    ):
+        chip = DistanceAccelerator()
+        FaultInjector(
+            [
+                StuckAtFault(rate=0.05),
+                DriftFault(rate=1.0, age_s=3.0e7, scale_per_decade=0.01),
+            ],
+            seed=9,
+        ).inject(chip)
+        pairs = [
+            (rng.normal(size=8), rng.normal(size=8)) for _ in range(4)
+        ]
+        self._assert_rows_match(chip, function, pairs)
+
+    def test_compute_many_read_disturb_matches_sequential(self, rng):
+        """Regression: read disturb draws fresh noise per settle, so a
+        batch must not share one template (one noise draw) across its
+        rows — it falls back to the sequential loop."""
+        pairs = [
+            (rng.normal(size=8), rng.normal(size=8)) for _ in range(4)
+        ]
+        batched, sequential = DistanceAccelerator(), DistanceAccelerator()
+        for chip in (batched, sequential):
+            FaultInjector(
+                [ReadDisturbFault(sigma=0.05)], seed=4
+            ).inject(chip)
+        assert not batched.vectorizes("dtw", 8, 8)
+        many = [r.value for r in batched.compute_many("dtw", pairs)]
+        one_by_one = [
+            sequential.compute("dtw", p, q).value for p, q in pairs
+        ]
+        assert many == one_by_one
+
+    @staticmethod
+    def _assert_rows_match(chip, function, pairs, **kwargs):
+        many = chip.compute_many(function, pairs, **kwargs)
+        for (p, q), result in zip(pairs, many):
+            single = chip.compute(function, p, q, **kwargs)
+            assert result.value == single.value
+            assert result.raw_voltage == single.raw_voltage
+            assert result.adc_voltage == single.adc_voltage
+            assert result.overflow == single.overflow
+            assert result.n_blocks == single.n_blocks
+
     def test_compute_many_heterogeneous_falls_back(self, rng):
         chip = DistanceAccelerator()
         pairs = [
@@ -303,6 +385,46 @@ class TestPoolSettleKey:
         pool.submit("manhattan", p, q)
         pool.drain()
         assert len(pool._settle_cache) == 1
+
+    def test_fault_transitions_reprobe_settle(self, rng):
+        """Regression: the memo keys on the chip signature, so a chip
+        charges its own settle after fault injection and again after
+        recalibration instead of the healthy chip's stale probe."""
+        pool = self._pool()
+        chip = pool.shards[0].accelerator
+        p, q = rng.normal(size=6), rng.normal(size=6)
+        conversion = chip.dac.load_time(12) + chip.adc.read_time(1)
+
+        def charged_settle() -> float:
+            pool.submit("dtw", p, q)
+            (response,) = pool.drain()
+            return response.finish_s - response.start_s - conversion
+
+        def probe() -> float:
+            return chip.compute(
+                "dtw", p, q, measure_time=True
+            ).convergence_time_s
+
+        healthy = probe()
+        charged_settle()  # warms the memo (and pays reconfiguration)
+        pool.inject_faults(
+            FaultInjector(
+                [
+                    StuckAtFault(rate=0.1),
+                    DriftFault(
+                        rate=1.0, age_s=3.0e7, scale_per_decade=0.01
+                    ),
+                ],
+                seed=7,
+            )
+        )
+        faulted = probe()
+        assert faulted != pytest.approx(healthy, rel=1e-3)
+        assert charged_settle() == pytest.approx(faulted, rel=1e-9)
+        recalibrate(chip)
+        repaired = probe()
+        assert repaired != pytest.approx(faulted, rel=1e-3)
+        assert charged_settle() == pytest.approx(repaired, rel=1e-9)
 
 
 class TestBatchTimingAndOverflow:
