@@ -10,7 +10,7 @@ Public entry point:
 """
 
 from .array import AcceleratorResult, DistanceAccelerator
-from .batch import BatchResult, compute_row_batch, nearest_candidate
+from .batch import BatchResult
 from .controller import (
     AcceleratorController,
     ControllerReport,
@@ -78,13 +78,11 @@ __all__ = [
     "UNIFIED_PE",
     "accelerator_power",
     "active_pe_count",
-    "compute_row_batch",
     "early_nearest_neighbour",
     "early_rank",
     "energy_efficiency_improvement",
     "energy_per_computation",
     "get_config",
-    "nearest_candidate",
     "plan_matrix_tiles",
     "plan_row_segments",
     "tile_count",

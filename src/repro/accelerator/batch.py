@@ -10,21 +10,14 @@ template banks) their throughput on this architecture.
 :meth:`DistanceAccelerator.batch_pairs` generalises it to independent
 (p, q) pairs sharing one settle, which is what the serving layer's
 dynamic batcher coalesces concurrent row-structure queries into.
-
-The module-level :func:`compute_row_batch` / :func:`nearest_candidate`
-entry points predate those methods and are kept as deprecated shims.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .array import DistanceAccelerator
 
 
 @dataclasses.dataclass
@@ -56,45 +49,3 @@ class BatchResult:
             + self.conversion_time_s
         )
 
-
-def compute_row_batch(
-    accelerator: "DistanceAccelerator",
-    function: str,
-    query,
-    candidates: Sequence,
-    weights=None,
-    threshold: float = 0.0,
-    measure_time: bool = False,
-) -> BatchResult:
-    """Deprecated shim for :meth:`DistanceAccelerator.batch`."""
-    warnings.warn(
-        "compute_row_batch is deprecated; use "
-        "DistanceAccelerator.batch instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return accelerator.batch(
-        function,
-        query,
-        candidates,
-        weights=weights,
-        threshold=threshold,
-        measure_time=measure_time,
-    )
-
-
-def nearest_candidate(
-    accelerator: "DistanceAccelerator",
-    function: str,
-    query,
-    candidates: Sequence,
-    **kwargs,
-) -> int:
-    """Deprecated shim for :meth:`DistanceAccelerator.nearest`."""
-    warnings.warn(
-        "nearest_candidate is deprecated; use "
-        "DistanceAccelerator.nearest instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return accelerator.nearest(function, query, candidates, **kwargs)

@@ -1,10 +1,8 @@
 """LRU result cache for distance queries.
 
-Keys quantise the float inputs to a fixed resolution grid before
-hashing: two queries whose sequences differ by less than the grid step
-hit the same entry.  The default grid (1e-6 units) sits far below the
-DAC's 0.05-unit LSB, so a cache hit is always at least as accurate as
-re-running the analog array.
+Keys quantise the float inputs to a fixed grid (:data:`KEY_RESOLUTION`)
+before hashing: two queries whose sequences differ by less than the
+grid step hit the same entry.
 """
 
 from __future__ import annotations
@@ -15,6 +13,11 @@ from typing import Hashable, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+
+#: Grid of the cache key, in sequence units.  It sits far below the
+#: DAC's 0.05-unit LSB, so a cache hit is always at least as accurate
+#: as re-running the analog array.
+KEY_RESOLUTION = 1.0e-6
 
 
 def quantise_key(values, resolution: float) -> bytes:
@@ -31,15 +34,10 @@ class ResultCache:
     is stored), which keeps the pool's call sites branch-free.
     """
 
-    def __init__(
-        self, capacity: int = 4096, resolution: float = 1.0e-6
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 0:
             raise ConfigurationError("capacity must be >= 0")
-        if resolution <= 0:
-            raise ConfigurationError("resolution must be positive")
         self.capacity = capacity
-        self.resolution = resolution
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -54,17 +52,13 @@ class ResultCache:
         extra: Tuple = (),
     ) -> Hashable:
         """Cache key of one query: function, inputs, weights, kwargs."""
-        parts = [
+        return (
             function,
-            quantise_key(p, self.resolution),
-            quantise_key(q, self.resolution),
-        ]
-        if weights is not None:
-            parts.append(quantise_key(weights, self.resolution))
-        else:
-            parts.append(b"")
-        parts.append(tuple(extra))
-        return tuple(parts)
+            quantise_key(p, KEY_RESOLUTION),
+            quantise_key(q, KEY_RESOLUTION),
+            b"" if weights is None else quantise_key(weights, KEY_RESOLUTION),
+            tuple(extra),
+        )
 
     def get(self, key: Hashable) -> Optional[float]:
         if self.capacity == 0:

@@ -8,6 +8,7 @@ modelled analog latencies (tens of ns) and wall-clock replay times.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 from typing import Any, Dict, List, Optional
@@ -80,6 +81,7 @@ class LatencyHistogram:
         self.bounds = np.logspace(
             np.log10(low), np.log10(high), n_buckets + 1
         )
+        self._edges: List[float] = self.bounds.tolist()
         self.counts = np.zeros(n_buckets, dtype=np.int64)
         self.count = 0
         self.total = 0.0
@@ -92,14 +94,8 @@ class LatencyHistogram:
         self.total += value
         self._min = value if self._min is None else min(self._min, value)
         self._max = value if self._max is None else max(self._max, value)
-        index = int(
-            np.clip(
-                np.searchsorted(self.bounds, value, side="right") - 1,
-                0,
-                self.counts.size - 1,
-            )
-        )
-        self.counts[index] += 1
+        index = bisect.bisect_right(self._edges, value) - 1
+        self.counts[min(max(index, 0), len(self._edges) - 2)] += 1
 
     @property
     def mean(self) -> float:

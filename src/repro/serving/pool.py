@@ -85,6 +85,13 @@ COALESCE_MAX_ROWS = 64
 #: Request kwargs :meth:`DistanceAccelerator.compute_many` accepts.
 _COALESCE_KWARGS = frozenset({"threshold", "band", "paper_errata"})
 
+#: Counter each response status increments.
+_STATUS_COUNTERS = {
+    "ok": "served",
+    "shed": "shed",
+    "deadline": "deadline_exceeded",
+}
+
 #: Entries of the ``latency_model="measured"`` settle memo.  Keys
 #: carry the chip signature, so every fault epoch adds entries; the
 #: bound keeps a long fault campaign from growing it without limit.
@@ -107,8 +114,6 @@ class PoolConfig:
         Route row-structure queries through the dynamic batcher.
     cache_capacity:
         LRU entries (0 disables caching).
-    cache_resolution:
-        Input quantisation grid of the cache key, in sequence units.
     latency_model:
         ``"calibrated"`` (per-element constants; fast) or
         ``"measured"`` (probe analog convergence per operating point).
@@ -160,7 +165,6 @@ class PoolConfig:
     max_batch: int = 32
     enable_batching: bool = True
     cache_capacity: int = 4096
-    cache_resolution: float = 1.0e-6
     latency_model: str = "calibrated"
     bist_interval_s: float = 0.0
     bist_vectors: int = 2
@@ -228,6 +232,12 @@ class PoolRequest:
     ``deadline_s`` is an absolute virtual-time completion deadline
     (``None`` = unbounded); the pool fails requests fast once it is
     unreachable rather than settling doomed work.
+
+    :meth:`AcceleratorPool.submit` fixes the request's identity once
+    (``options``, ``structure``, ``settle_key``, ``cache_key``); every
+    later decision — cache lookups and stores, batching, settle
+    coalescing, the measured-settle memo, a quarantine re-admission —
+    reads these fields instead of rebuilding them.
     """
 
     id: int
@@ -241,6 +251,17 @@ class PoolRequest:
     #: Batching hint derived from the deadline: latest instant this
     #: request's bucket may flush and still finish in time.
     flush_by_s: Optional[float] = None
+    #: Sorted ``kwargs`` items: with ``function``, the batching key.
+    options: Tuple = ()
+    #: The function's PE structure, ``"row"`` or ``"matrix"``.
+    structure: str = ""
+    #: Everything that shapes the block graph the request settles: a
+    #: weighted request programs a different conductance pattern than
+    #: an unweighted one of the same lengths, and kwargs (threshold,
+    #: band) change the comparator network.
+    settle_key: Hashable = None
+    #: Result-cache key (quantised inputs and weights, ``options``).
+    cache_key: Hashable = None
 
 
 @dataclasses.dataclass
@@ -347,10 +368,7 @@ class AcceleratorPool:
             if reconfiguration is not None
             else ReconfigurationCost()
         )
-        self.cache = ResultCache(
-            capacity=self.config.cache_capacity,
-            resolution=self.config.cache_resolution,
-        )
+        self.cache = ResultCache(capacity=self.config.cache_capacity)
         self.metrics = MetricsRegistry()
         self.responses: Dict[int, PoolResponse] = {}
         self._pending: List[PoolRequest] = []
@@ -429,19 +447,33 @@ class AcceleratorPool:
             deadline = arrival + self.config.default_deadline_s
         else:
             deadline = None
+        w = (
+            None
+            if weights is None
+            else np.asarray(weights, dtype=np.float64)
+        )
+        options = tuple(sorted(kwargs.items()))
         request = PoolRequest(
             id=self._next_id,
             function=config.name,
             p=p_arr,
             q=q_arr,
             arrival_s=arrival,
-            weights=(
-                None
-                if weights is None
-                else np.asarray(weights, dtype=np.float64)
-            ),
+            weights=w,
             kwargs=dict(kwargs),
             deadline_s=deadline,
+            options=options,
+            structure=config.structure,
+            settle_key=(
+                config.name,
+                p_arr.shape[0],
+                q_arr.shape[0],
+                None if w is None else (w.shape, w.tobytes()),
+                options,
+            ),
+            cache_key=self.cache.key(
+                config.name, p_arr, q_arr, weights=w, extra=options
+            ),
         )
         self._next_id += 1
         self._pending.append(request)
@@ -461,9 +493,9 @@ class AcceleratorPool:
                 if self._first_arrival is None:
                     self._first_arrival = request.arrival_s
                 self._maybe_bist(request.arrival_s)
-                self._flush_due(request.arrival_s)
+                self._flush(request.arrival_s)
                 self._admit(request)
-            self._flush_remaining()
+            self._flush()
         finally:
             self._settle_groups = {}
             self._settle_key_of = {}
@@ -484,57 +516,42 @@ class AcceleratorPool:
 
     # -- scheduling ----------------------------------------------------------
     def _admit(self, request: PoolRequest) -> None:
-        key = self._cache_key(request)
-        cached = self.cache.get(key)
+        cached = self.cache.get(request.cache_key)
         self.metrics.counter(
             "cache_hits" if cached is not None else "cache_misses"
         ).inc()
         if cached is not None:
-            self._respond(
-                request,
-                PoolResponse(
-                    request_id=request.id,
-                    function=request.function,
-                    status="ok",
-                    value=cached,
-                    arrival_s=request.arrival_s,
-                    start_s=request.arrival_s,
-                    finish_s=request.arrival_s,
-                    cached=True,
-                ),
-            )
+            self._reply(request, "ok", value=cached, cached=True)
             return
 
-        shard = self._pick_shard(request)
+        shard, depth = self._pick_shard(request)
         # Deadline fail-fast: when even the optimistic single-settle
         # estimate cannot land before the deadline, expire now instead
         # of burning a settle on a doomed request.
         if request.deadline_s is not None:
-            earliest = (
-                max(request.arrival_s, shard.busy_until)
-                + self._estimate_service(shard, request)
-            )
+            earliest = max(
+                request.arrival_s, shard.busy_until
+            ) + _single_service_s(shard.accelerator, request)
             if (
                 request.deadline_s < request.arrival_s
                 or earliest > request.deadline_s
             ):
-                self._expire(request, shard=shard)
+                self._reply(request, "deadline", shard)
                 return
-        if shard.depth_at(request.arrival_s) >= self.config.queue_depth:
-            self._shed(request, shard=shard)
+        if depth >= self.config.queue_depth:
+            self._reply(request, "shed", shard)
             return
 
         shard.breaker.acquire_probe(request.arrival_s)
         if self._batchable(request, shard):
-            batch_key = self._batch_key(request)
             flush_by = None
             if request.deadline_s is not None:
-                flush_by = request.deadline_s - self._estimate_service(
-                    shard, request
+                flush_by = request.deadline_s - _single_service_s(
+                    shard.accelerator, request
                 )
                 request.flush_by_s = flush_by
             full = shard.batcher.add(
-                batch_key,
+                (request.function, request.options),
                 request,
                 request.arrival_s,
                 flush_by=flush_by,
@@ -544,91 +561,16 @@ class AcceleratorPool:
         else:
             self._execute_single(shard, request)
 
-    def _shed(
-        self, request: PoolRequest, shard: Optional[_Shard] = None
-    ) -> None:
-        self.metrics.counter("shed").inc()
-        self._respond(
-            request,
-            PoolResponse(
-                request_id=request.id,
-                function=request.function,
-                status="shed",
-                value=None,
-                arrival_s=request.arrival_s,
-                start_s=request.arrival_s,
-                finish_s=request.arrival_s,
-                shard=None if shard is None else shard.index,
-            ),
-        )
-
-    def _expire(
-        self,
-        request: PoolRequest,
-        shard: Optional[_Shard] = None,
-        start_s: Optional[float] = None,
-        finish_s: Optional[float] = None,
-    ) -> None:
-        """Answer ``request`` with status ``"deadline"``."""
-        self.metrics.counter("deadline_exceeded").inc()
-        self._respond(
-            request,
-            PoolResponse(
-                request_id=request.id,
-                function=request.function,
-                status="deadline",
-                value=None,
-                arrival_s=request.arrival_s,
-                start_s=(
-                    request.arrival_s if start_s is None else start_s
-                ),
-                finish_s=(
-                    request.arrival_s
-                    if finish_s is None
-                    else finish_s
-                ),
-                shard=None if shard is None else shard.index,
-            ),
-        )
-
-    def _estimate_service(
-        self, shard: _Shard, request: PoolRequest
-    ) -> float:
-        """Cheap calibrated estimate of one single-query service."""
-        n = int(max(request.p.shape[0], request.q.shape[0]))
-        acc = shard.accelerator
-        return (
-            CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-            + acc.dac.load_time(request.p.size + request.q.size)
-            + acc.adc.read_time(1)
-        )
-
     def _batchable(self, request: PoolRequest, shard: _Shard) -> bool:
         if not self.config.enable_batching:
             return False
-        config = get_config(request.function)
-        if config.structure != "row":
+        if request.structure != "row":
             return False
         # Usable width, not nominal: dead PEs shrink the batch row.
         if request.p.shape[0] > shard.accelerator.usable_cols:
             return False
         # Only kwargs the batched settle understands may coalesce.
         return set(request.kwargs) <= {"threshold"}
-
-    def _batch_key(self, request: PoolRequest) -> Hashable:
-        return (
-            request.function,
-            tuple(sorted(request.kwargs.items())),
-        )
-
-    def _cache_key(self, request: PoolRequest) -> Hashable:
-        return self.cache.key(
-            request.function,
-            request.p,
-            request.q,
-            weights=request.weights,
-            extra=tuple(sorted(request.kwargs.items())),
-        )
 
     def _active_shards(self) -> List[_Shard]:
         return [s for s in self.shards if not s.quarantined]
@@ -641,29 +583,27 @@ class AcceleratorPool:
             if s.breaker.available(now)
         ]
 
-    def _pick_shard(self, request: PoolRequest) -> _Shard:
-        """Least-loaded healthy shard; function affinity breaks ties."""
-        active = self._active_shards()
-        if not active:
-            raise ShardUnhealthyError(
-                f"all {len(self.shards)} shards are quarantined; "
-                f"request {request.id} ({request.function}) cannot "
-                "be served — repair or replace the pool"
-            )
-        placeable = [
-            s
-            for s in active
-            if s.breaker.available(request.arrival_s)
-        ]
+    def _pick_shard(self, request: PoolRequest) -> Tuple[_Shard, int]:
+        """Least-loaded healthy shard and its queue depth at arrival;
+        function affinity breaks depth ties."""
+        now = request.arrival_s
+        placeable = self._placeable_shards(now)
         if not placeable:
+            active = self._active_shards()
+            if not active:
+                raise ShardUnhealthyError(
+                    f"all {len(self.shards)} shards are quarantined; "
+                    f"request {request.id} ({request.function}) cannot "
+                    "be served — repair or replace the pool"
+                )
             raise CircuitOpenError(
                 f"all {len(active)} active shards sit behind open "
-                f"circuit breakers at t={request.arrival_s:.3g}s; "
+                f"circuit breakers at t={now:.3g}s; "
                 f"request {request.id} ({request.function}) must "
                 "wait out the cooldown or degrade to the digital "
                 "fallback"
             )
-        batch_key = self._batch_key(request)
+        batch_key = (request.function, request.options)
 
         def score(shard: _Shard) -> Tuple:
             affinity = (
@@ -675,28 +615,22 @@ class AcceleratorPool:
                 else 1
             )
             return (
-                shard.depth_at(request.arrival_s),
+                shard.depth_at(now),
                 affinity,
                 shard.busy_until,
                 shard.index,
             )
 
-        return min(placeable, key=score)
+        depth, _, _, index = min(score(s) for s in placeable)
+        return self.shards[index], depth
 
-    def _flush_due(self, now: float) -> None:
+    def _flush(self, now: Optional[float] = None) -> None:
+        """Execute every batch due at ``now`` (all of them if ``None``)."""
         for shard in self.shards:
-            for _, items in shard.batcher.due(now):
-                dispatch = shard.batcher.dispatch_time(
-                    items, items[0].arrival_s
-                )
-                self._execute_batch(shard, items, dispatch)
-
-    def _flush_remaining(self) -> None:
-        for shard in self.shards:
-            for _, items in shard.batcher.flush():
-                dispatch = shard.batcher.dispatch_time(
-                    items, items[0].arrival_s
-                )
+            batcher = shard.batcher
+            ready = batcher.flush() if now is None else batcher.due(now)
+            for _, items in ready:
+                dispatch = batcher.dispatch_time(items, items[0].arrival_s)
                 self._execute_batch(shard, items, dispatch)
 
     # -- reliability ---------------------------------------------------------
@@ -737,7 +671,7 @@ class AcceleratorPool:
         if interval <= 0:
             return
         if now - self._last_bist_s >= interval:
-            self._flush_due(now)
+            self._flush(now)
             self.run_bist(now=now)
 
     def run_bist(self, now: Optional[float] = None) -> Dict[int, object]:
@@ -838,7 +772,7 @@ class AcceleratorPool:
             if not self._active_shards() or (
                 backoff_attempt >= policy.max_retries
             ):
-                self._shed(request, shard=shard)
+                self._reply(request, "shed", shard)
                 continue
             self._retries[request.id] = retries + 1
             self.metrics.counter("faults_retried").inc()
@@ -852,7 +786,7 @@ class AcceleratorPool:
             try:
                 self._admit(request)
             except ShardUnhealthyError:
-                self._shed(request, shard=shard)
+                self._reply(request, "shed", shard)
 
     def replace_shard(
         self,
@@ -898,30 +832,12 @@ class AcceleratorPool:
         self.metrics.counter("reconfigurations").inc()
         return self.reconfiguration.switch_time(0)
 
-    @staticmethod
-    def _structure_key(request: PoolRequest) -> Hashable:
-        """Everything that shapes the block graph a request settles.
-
-        A weighted request programs a different conductance pattern
-        than an unweighted one of the same lengths, and kwargs
-        (threshold, band) change the comparator network.
-        """
-        w = request.weights
-        return (
-            request.function,
-            request.p.shape[0],
-            request.q.shape[0],
-            None if w is None else (w.shape, w.tobytes()),
-            tuple(sorted(request.kwargs.items())),
-        )
-
     def _settle_time(
         self, shard: _Shard, request: PoolRequest
     ) -> float:
         """One analog settle at this request's operating point."""
-        n = int(max(request.p.shape[0], request.q.shape[0]))
         if self.config.latency_model == "calibrated":
-            return CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
+            return _calibrated_settle_s(request)
         # Settle time depends on the programmed graph and on the chip:
         # a faulted or recalibrated chip settles differently from a
         # healthy one, so the chip's value signature is part of the
@@ -930,7 +846,7 @@ class AcceleratorPool:
         chip = acc.value_signature()
         if chip is None:
             chip = (acc, acc.fault_epoch)
-        key = (chip, self._structure_key(request))
+        key = (chip, request.settle_key)
         if key not in self._settle_cache:
             probe = acc.compute(
                 request.function,
@@ -958,9 +874,7 @@ class AcceleratorPool:
         for request in requests:
             if not set(request.kwargs) <= _COALESCE_KWARGS:
                 continue
-            groups.setdefault(
-                self._structure_key(request), []
-            ).append(request)
+            groups.setdefault(request.settle_key, []).append(request)
         self._settle_groups = {
             key: group for key, group in groups.items() if len(group) > 1
         }
@@ -1022,27 +936,6 @@ class AcceleratorPool:
             self._settled_rows[(signature, other.id)] = result
         return results[0]
 
-    def _finish_execution(
-        self,
-        shard: _Shard,
-        function: str,
-        start_s: float,
-        service_s: float,
-        count: int,
-    ) -> float:
-        finish = start_s + service_s
-        shard.busy_until = finish
-        shard.busy_s += service_s
-        shard.served += count
-        shard.assign(finish, count)
-        self._last_finish = max(self._last_finish, finish)
-        self._energy_j += (
-            service_s * accelerator_power(function).total_w
-        )
-        if get_config(function).structure == "row":
-            self._row_busy_s += service_s
-        return finish
-
     def _maybe_hedge(
         self, shard: _Shard, request: PoolRequest
     ) -> Tuple[_Shard, bool]:
@@ -1063,7 +956,7 @@ class AcceleratorPool:
         projected = (
             max(request.arrival_s, shard.busy_until)
             - request.arrival_s
-            + self._estimate_service(shard, request)
+            + _single_service_s(shard.accelerator, request)
         )
         if projected <= threshold:
             return shard, False
@@ -1092,47 +985,20 @@ class AcceleratorPool:
         shard, hedged = self._maybe_hedge(shard, request)
         start = max(request.arrival_s, shard.busy_until)
         reconfig = self._reconfigure(shard, request.function)
-        acc = shard.accelerator
-        result = self._compute(acc, request)
-        if result.overflow:
-            self.metrics.counter("overflow").inc()
-        service = (
-            reconfig
-            + self._settle_time(shard, request)
-            + acc.dac.load_time(request.p.size + request.q.size)
-            + acc.adc.read_time(1)
-        )
-        finish = self._finish_execution(
-            shard, request.function, start, service, 1
-        )
-        self.cache.put(self._cache_key(request), result.value)
-        latency = finish - request.arrival_s
-        slo = self.config.breaker.latency_slo_s
-        if result.overflow or (slo is not None and latency > slo):
-            shard.breaker.on_failure(finish)
-        else:
-            shard.breaker.on_success(finish)
-        if (
-            request.deadline_s is not None
-            and finish > request.deadline_s
-        ):
-            self._expire(
-                request, shard=shard, start_s=start, finish_s=finish
-            )
-            return
-        self._respond(
+        result = self._compute(shard.accelerator, request)
+        service = _single_service_s(
+            shard.accelerator,
             request,
-            PoolResponse(
-                request_id=request.id,
-                function=request.function,
-                status="ok",
-                value=float(result.value),
-                arrival_s=request.arrival_s,
-                start_s=start,
-                finish_s=finish,
-                shard=shard.index,
-                hedged=hedged,
-            ),
+            reconfig + self._settle_time(shard, request),
+        )
+        self._complete(
+            shard,
+            [request],
+            [result.value],
+            result.overflow,
+            start,
+            service,
+            hedged=hedged,
         )
 
     def _execute_batch(
@@ -1144,23 +1010,17 @@ class AcceleratorPool:
         start = max(dispatch_s, shard.busy_until)
         function = requests[0].function
         reconfig = self._reconfigure(shard, function)
-        acc = shard.accelerator
-        threshold = float(
-            requests[0].kwargs.get("threshold", 0.0)
-        )
         weights = (
             None
             if all(r.weights is None for r in requests)
             else [r.weights for r in requests]
         )
-        result = acc.batch_pairs(
+        result = shard.accelerator.batch_pairs(
             function,
             [(r.p, r.q) for r in requests],
             weights=weights,
-            threshold=threshold,
+            threshold=float(requests[0].kwargs.get("threshold", 0.0)),
         )
-        if result.overflow:
-            self.metrics.counter("overflow").inc()
         settle = self._settle_time(
             shard, max(requests, key=lambda r: r.p.shape[0])
         )
@@ -1169,61 +1029,118 @@ class AcceleratorPool:
             + result.passes * settle
             + result.conversion_time_s
         )
-        finish = self._finish_execution(
-            shard, function, start, service, len(requests)
-        )
         shard.batches += 1
         self.metrics.counter("batches").inc()
         self.metrics.counter("batched_requests").inc(len(requests))
         self.metrics.histogram(
             "batch_size", low=1.0, high=512.0, n_buckets=32
         ).record(len(requests))
+        self._complete(
+            shard,
+            requests,
+            result.values,
+            result.overflow,
+            start,
+            service,
+            batched=True,
+        )
+
+    def _complete(
+        self,
+        shard: _Shard,
+        requests: List[PoolRequest],
+        values: Sequence[float],
+        overflow: bool,
+        start_s: float,
+        service_s: float,
+        batched: bool = False,
+        hedged: bool = False,
+    ) -> None:
+        """The one completion tail of every execution on ``shard``.
+
+        Books the busy interval and energy, feeds the breaker its
+        verdict (overflow, or the worst member latency over the SLO),
+        caches every value, and answers each request — ``"deadline"``
+        when the settle finished past its deadline, else ``"ok"``.
+        A single request is the one-element batch.
+        """
+        count = len(requests)
+        finish = start_s + service_s
+        shard.busy_until = finish
+        shard.busy_s += service_s
+        shard.served += count
+        shard.assign(finish, count)
+        self._last_finish = max(self._last_finish, finish)
+        function = requests[0].function
+        self._energy_j += (
+            service_s * accelerator_power(function).total_w
+        )
+        if requests[0].structure == "row":
+            self._row_busy_s += service_s
+        if overflow:
+            self.metrics.counter("overflow").inc()
         slo = self.config.breaker.latency_slo_s
         worst_latency = finish - min(r.arrival_s for r in requests)
-        if result.overflow or (
-            slo is not None and worst_latency > slo
-        ):
+        if overflow or (slo is not None and worst_latency > slo):
             shard.breaker.on_failure(finish)
         else:
             shard.breaker.on_success(finish)
-        for request, value in zip(requests, result.values):
-            self.cache.put(self._cache_key(request), float(value))
+        for request, value in zip(requests, values):
+            self.cache.put(request.cache_key, value)
             if (
                 request.deadline_s is not None
                 and finish > request.deadline_s
             ):
-                self._expire(
-                    request,
-                    shard=shard,
-                    start_s=start,
-                    finish_s=finish,
-                )
+                self._reply(request, "deadline", shard, start_s, finish)
                 continue
-            self._respond(
+            self._reply(
                 request,
-                PoolResponse(
-                    request_id=request.id,
-                    function=function,
-                    status="ok",
-                    value=float(value),
-                    arrival_s=request.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                    shard=shard.index,
-                    batched=True,
-                    batch_size=len(requests),
-                ),
+                "ok",
+                shard,
+                start_s,
+                finish,
+                value=float(value),
+                batched=batched,
+                batch_size=count,
+                hedged=hedged,
             )
 
-    def _respond(
-        self, request: PoolRequest, response: PoolResponse
+    def _reply(
+        self,
+        request: PoolRequest,
+        status: str,
+        shard: Optional[_Shard] = None,
+        start_s: Optional[float] = None,
+        finish_s: Optional[float] = None,
+        value: Optional[float] = None,
+        cached: bool = False,
+        batched: bool = False,
+        batch_size: int = 1,
+        hedged: bool = False,
     ) -> None:
+        """Answer ``request`` and count it under its ``status``.
+
+        Times default to the arrival instant (cache hits, admission
+        shedding and fail-fast expiry never occupy a shard).
+        """
+        response = PoolResponse(
+            request_id=request.id,
+            function=request.function,
+            status=status,
+            value=value,
+            arrival_s=request.arrival_s,
+            start_s=request.arrival_s if start_s is None else start_s,
+            finish_s=request.arrival_s if finish_s is None else finish_s,
+            shard=None if shard is None else shard.index,
+            cached=cached,
+            batched=batched,
+            batch_size=batch_size,
+            hedged=hedged,
+        )
         self.responses[request.id] = response
-        if response.status == "ok":
-            self.metrics.counter("served").inc()
-            self.metrics.histogram("latency").record(
-                response.latency_s
-            )
+        self.metrics.counter(_STATUS_COUNTERS[status]).inc()
+        if status == "ok":
+            self.metrics.histogram("latency").record(response.latency_s)
             self.metrics.histogram(
                 f"latency.{request.function}"
             ).record(response.latency_s)
@@ -1302,6 +1219,29 @@ class AcceleratorPool:
         return json.dumps(self.snapshot(), indent=indent)
 
 
+def _calibrated_settle_s(request: PoolRequest) -> float:
+    """Calibrated settle of one request: per-element constant x length."""
+    n = int(max(request.p.shape[0], request.q.shape[0]))
+    return CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
+
+
+def _single_service_s(
+    acc: DistanceAccelerator,
+    request: PoolRequest,
+    settle_s: Optional[float] = None,
+) -> float:
+    """Service time of one unbatched request on ``acc``: the settle
+    (calibrated unless given), loading both inputs through the DAC and
+    one ADC read."""
+    if settle_s is None:
+        settle_s = _calibrated_settle_s(request)
+    return (
+        settle_s
+        + acc.dac.load_time(request.p.size + request.q.size)
+        + acc.adc.read_time(1)
+    )
+
+
 def serial_loop_time(
     requests: Sequence[PoolRequest],
     accelerator: Optional[DistanceAccelerator] = None,
@@ -1323,14 +1263,7 @@ def serial_loop_time(
         if request.function != current:
             total += reconfiguration.switch_time(0)
             current = request.function
-        n = int(max(request.p.shape[0], request.q.shape[0]))
-        total += (
-            CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-            + accelerator.dac.load_time(
-                request.p.size + request.q.size
-            )
-            + accelerator.adc.read_time(1)
-        )
+        total += _single_service_s(accelerator, request)
     return total
 
 
@@ -1339,10 +1272,11 @@ class PoolBackend:
 
     Lets the mining layer route template-bank searches through the
     pool: a ``batch`` call submits one request per candidate and
-    drains them together, so they coalesce (see :meth:`batch`).  Requests shed by
-    admission control are re-submitted with seeded exponential-backoff
-    re-arrival times (``retry_policy``); a request whose deadline
-    passes raises :class:`~repro.errors.DeadlineExceededError`.
+    drains them together, so they coalesce (see :meth:`batch`).
+    Requests shed by admission control are re-submitted with seeded
+    exponential-backoff re-arrival times (the pool's ``retry`` policy,
+    allowing ``max_retries`` rounds); a request whose deadline passes
+    raises :class:`~repro.errors.DeadlineExceededError`.
 
     ``pacing_s`` spaces the virtual arrivals of a multi-request call
     (0 submits everything at one instant, the legacy behaviour);
@@ -1356,7 +1290,6 @@ class PoolBackend:
         self,
         pool: Optional[AcceleratorPool] = None,
         max_retries: int = 32,
-        retry_policy: Optional[RetryPolicy] = None,
         pacing_s: float = 0.0,
         deadline_s: Optional[float] = None,
     ) -> None:
@@ -1367,14 +1300,9 @@ class PoolBackend:
             raise ConfigurationError("pacing_s must be >= 0")
         if deadline_s is not None and deadline_s <= 0:
             raise ConfigurationError("deadline_s must be > 0")
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else dataclasses.replace(
-                self.pool.config.retry, max_retries=max_retries
-            )
+        self.retry_policy = dataclasses.replace(
+            self.pool.config.retry, max_retries=max_retries
         )
-        self.max_retries = self.retry_policy.max_retries
         self.pacing_s = float(pacing_s)
         self.deadline_s = deadline_s
         self._rng = self.retry_policy.rng()
@@ -1396,6 +1324,21 @@ class PoolBackend:
             deadline_s=deadline,
             **kwargs,
         )
+
+    def _serve(
+        self, function: str, pairs: Sequence, weights, kwargs: Dict
+    ) -> np.ndarray:
+        """Submit ``pairs`` at paced virtual arrivals, then resolve
+        their values in order."""
+        base = self.pool.virtual_now
+        submitted = []
+        for index, (p, q) in enumerate(pairs):
+            args = (function, p, q, weights, kwargs)
+            rid = self._submit(
+                *args, arrival_s=base + index * self.pacing_s
+            )
+            submitted.append((rid, (index, args)))
+        return self._resolve(submitted)
 
     def _resolve(self, submitted: List[Tuple[int, Tuple]]) -> np.ndarray:
         """Drain; retry shed requests until all values materialise.
@@ -1428,23 +1371,17 @@ class PoolBackend:
             if not shed and not pending:
                 break
             for slot, args in shed.items():
-                function, p, q, weights, kwargs = args
                 delay = policy.backoff_s(
                     min(attempt, policy.max_retries), self._rng
                 )
                 rid = self._submit(
-                    function,
-                    p,
-                    q,
-                    weights,
-                    kwargs,
-                    arrival_s=self.pool.virtual_now + delay,
+                    *args, arrival_s=self.pool.virtual_now + delay
                 )
                 pending[rid] = (slot, args)
         if pending:
             raise CapacityError(
                 f"{len(pending)} requests still shed after "
-                f"{self.max_retries} retries; deepen the pool queues"
+                f"{policy.max_retries} retries; deepen the pool queues"
             )
         return np.array(
             [values[i] for i in range(len(submitted))]
@@ -1453,11 +1390,7 @@ class PoolBackend:
     def compute(
         self, function: str, p, q, *, weights=None, **kwargs
     ) -> float:
-        rid = self._submit(
-            function, p, q, weights, kwargs, self.pool.virtual_now
-        )
-        args = (function, p, q, weights, kwargs)
-        return float(self._resolve([(rid, (0, args))])[0])
+        return float(self._serve(function, [(p, q)], weights, kwargs)[0])
 
     def batch(
         self,
@@ -1475,20 +1408,8 @@ class PoolBackend:
         vectorized settle simulation per chip signature (see
         :meth:`AcceleratorPool._compute`).
         """
-        submitted = []
-        base = self.pool.virtual_now
-        for index, candidate in enumerate(candidates):
-            rid = self._submit(
-                function,
-                query,
-                candidate,
-                weights,
-                kwargs,
-                arrival_s=base + index * self.pacing_s,
-            )
-            args = (function, query, candidate, weights, kwargs)
-            submitted.append((rid, (index, args)))
-        return self._resolve(submitted)
+        pairs = [(query, candidate) for candidate in candidates]
+        return self._serve(function, pairs, weights, kwargs)
 
     def pairwise(
         self, function: str, series: Sequence, **kwargs
@@ -1498,24 +1419,10 @@ class PoolBackend:
             for i, s in enumerate(series)
         ]
         k = len(arrays)
-        submitted = []
-        slots = []
-        base = self.pool.virtual_now
-        for i in range(k):
-            for j in range(i + 1, k):
-                arrival = base + len(slots) * self.pacing_s
-                rid = self._submit(
-                    function,
-                    arrays[i],
-                    arrays[j],
-                    None,
-                    kwargs,
-                    arrival_s=arrival,
-                )
-                args = (function, arrays[i], arrays[j], None, kwargs)
-                submitted.append((rid, (len(slots), args)))
-                slots.append((i, j))
-        values = self._resolve(submitted) if submitted else []
+        slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        pairs = [(arrays[i], arrays[j]) for i, j in slots]
+        # No pairs, no drain: fewer than two series leave the pool be.
+        values = self._serve(function, pairs, None, kwargs) if pairs else []
         out = np.zeros((k, k))
         for (i, j), value in zip(slots, values):
             out[i, j] = out[j, i] = value

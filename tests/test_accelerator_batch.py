@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro import distances as sw
-from repro.accelerator import (
-    AcceleratorParameters,
-    DistanceAccelerator,
-    compute_row_batch,
-    nearest_candidate,
-)
+from repro.accelerator import AcceleratorParameters, DistanceAccelerator
 from repro.analog import IDEAL, NonidealityModel, BlockGraph, dc_solve
 from repro.errors import ConfigurationError, LengthMismatchError
 
@@ -23,7 +18,7 @@ class TestRowBatch:
     def test_values_match_individual_computes(self, chip, rng):
         q = rng.normal(size=8)
         cands = [rng.normal(size=8) for _ in range(5)]
-        batch = compute_row_batch(chip, "manhattan", q, cands)
+        batch = chip.batch("manhattan", q, cands)
         for value, cand in zip(batch.values, cands):
             assert value == pytest.approx(
                 sw.manhattan(q, cand), abs=1e-8
@@ -32,9 +27,7 @@ class TestRowBatch:
     def test_hamming_batch_with_threshold(self, chip, rng):
         q = rng.integers(0, 2, 10).astype(float)
         cands = [rng.integers(0, 2, 10).astype(float) for _ in range(4)]
-        batch = compute_row_batch(
-            chip, "hamming", q, cands, threshold=0.5
-        )
+        batch = chip.batch("hamming", q, cands, threshold=0.5)
         for value, cand in zip(batch.values, cands):
             assert value == pytest.approx(
                 sw.hamming(q, cand, threshold=0.5), abs=1e-8
@@ -42,9 +35,7 @@ class TestRowBatch:
 
     def test_single_pass_under_array_rows(self, chip, rng):
         q = rng.normal(size=6)
-        batch = compute_row_batch(
-            chip, "manhattan", q, [q, q, q]
-        )
+        batch = chip.batch("manhattan", q, [q, q, q])
         assert batch.passes == 1
 
     def test_pass_count_grows_past_array_rows(self, rng):
@@ -53,31 +44,24 @@ class TestRowBatch:
             params=params, nonideality=IDEAL, quantise_io=False
         )
         q = rng.normal(size=6)
-        batch = compute_row_batch(
-            small, "manhattan", q, [q] * 5
-        )
+        batch = small.batch("manhattan", q, [q] * 5)
         assert batch.passes == 3
 
     def test_one_settle_serves_all_candidates(self, chip, rng):
         q = rng.normal(size=8)
         cands = [rng.normal(size=8) for _ in range(6)]
-        batch = compute_row_batch(
-            chip, "manhattan", q, cands, measure_time=True
-        )
+        batch = chip.batch("manhattan", q, cands, measure_time=True)
         assert batch.convergence_time_s is not None
         assert batch.total_time_s > batch.convergence_time_s
 
     def test_matrix_function_rejected(self, chip, rng):
         with pytest.raises(ConfigurationError, match="row structure"):
-            compute_row_batch(
-                chip, "dtw", rng.normal(size=4), [rng.normal(size=4)]
-            )
+            chip.batch("dtw", rng.normal(size=4), [rng.normal(size=4)])
 
     def test_length_mismatch_rejected(self, chip, rng):
         with pytest.raises(LengthMismatchError):
-            compute_row_batch(
-                chip, "manhattan", rng.normal(size=4),
-                [rng.normal(size=5)],
+            chip.batch(
+                "manhattan", rng.normal(size=4), [rng.normal(size=5)]
             )
 
     def test_too_long_for_one_row_rejected(self, rng):
@@ -87,26 +71,24 @@ class TestRowBatch:
         )
         q = rng.normal(size=6)
         with pytest.raises(ConfigurationError, match="fit one array"):
-            compute_row_batch(small, "manhattan", q, [q])
+            small.batch("manhattan", q, [q])
 
     def test_empty_candidates_rejected(self, chip, rng):
         with pytest.raises(ConfigurationError):
-            compute_row_batch(chip, "manhattan", rng.normal(size=4), [])
+            chip.batch("manhattan", rng.normal(size=4), [])
 
     def test_nearest_candidate(self, chip, rng):
         q = rng.normal(size=10)
         cands = [
             q + rng.normal(0, s, 10) for s in (1.2, 0.05, 0.6)
         ]
-        assert nearest_candidate(chip, "manhattan", q, cands) == 1
+        assert chip.nearest("manhattan", q, cands) == 1
 
     def test_weighted_batch(self, chip, rng):
         q = rng.normal(size=6)
         cand = rng.normal(size=6)
         w = rng.uniform(0.5, 1.5, 6)
-        batch = compute_row_batch(
-            chip, "manhattan", q, [cand], weights=w
-        )
+        batch = chip.batch("manhattan", q, [cand], weights=w)
         assert batch.values[0] == pytest.approx(
             sw.manhattan(q, cand, weights=w), abs=1e-8
         )
@@ -167,18 +149,6 @@ class TestBatchMethods:
             assert value == pytest.approx(
                 sw.manhattan(p, q, weights=w), abs=1e-8
             )
-
-    def test_module_level_shims_warn(self, chip, rng):
-        q = rng.normal(size=6)
-        cands = [rng.normal(size=6) for _ in range(2)]
-        with pytest.warns(DeprecationWarning, match="batch"):
-            shim = compute_row_batch(chip, "manhattan", q, cands)
-        np.testing.assert_allclose(
-            shim.values, chip.batch("manhattan", q, cands).values
-        )
-        with pytest.warns(DeprecationWarning, match="nearest"):
-            index = nearest_candidate(chip, "manhattan", q, cands)
-        assert index == chip.nearest("manhattan", q, cands)
 
 
 class TestSupplyRailSaturation:

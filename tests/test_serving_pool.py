@@ -65,6 +65,37 @@ class TestMetrics:
         assert hist.percentile(99.0) >= hist.percentile(50.0)
         assert hist.percentile(100.0) <= 1e-3 * 1.01
 
+    def test_histogram_bucket_edges(self):
+        hist = LatencyHistogram("h", low=1.0, high=100.0, n_buckets=2)
+        # bounds are 1, 10, 100; buckets are [1, 10) and [10, 100]
+        for value, bucket in (
+            (10.0, 1),  # exactly on an inner bound: the upper bucket
+            (1.0, 0),  # exactly on ``low``
+            (100.0, 1),  # exactly on ``high``: clamped into the last
+            (0.5, 0),  # below ``low``: clamped into the first
+            (0.0, 0),  # a zero latency (cache hit)
+            (1.0e3, 1),  # above ``high``: clamped into the last
+        ):
+            before = hist.counts.copy()
+            hist.record(value)
+            assert (hist.counts - before).tolist() == [
+                int(i == bucket) for i in range(2)
+            ], value
+
+    def test_histogram_buckets_match_searchsorted(self, rng):
+        hist = LatencyHistogram("latency")
+        values = np.concatenate(
+            [10.0 ** rng.uniform(-11, 3, 400), hist.bounds]
+        )
+        for value in values:
+            hist.record(value)
+        index = np.searchsorted(hist.bounds, values, side="right") - 1
+        expected = np.bincount(
+            np.clip(index, 0, hist.counts.size - 1),
+            minlength=hist.counts.size,
+        )
+        np.testing.assert_array_equal(hist.counts, expected)
+
     def test_histogram_empty(self):
         hist = LatencyHistogram("latency")
         assert hist.mean == 0.0
@@ -89,7 +120,7 @@ class TestResultCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_quantisation_merges_nearby_inputs(self):
-        cache = ResultCache(capacity=4, resolution=1e-6)
+        cache = ResultCache(capacity=4)
         a = cache.key("manhattan", [1.0, 2.0], [3.0, 4.0])
         b = cache.key(
             "manhattan", [1.0 + 1e-9, 2.0], [3.0, 4.0 - 1e-9]
