@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import operator
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -330,13 +332,74 @@ class BlockGraph:
         return FrozenGraph(self)
 
 
+def _gather_edges(
+    ptr: np.ndarray, n_edges: int, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Vectorized CSR gather.
+
+    Row ``r`` of an edge list owns edges ``ptr[r]:ptr[r + 1]`` (the
+    last row ends at ``n_edges``).  Returns the positions of ``rows``'
+    edges, row after row in edge order, and each gathered row's start
+    in that result — the ``reduceat`` indices of the gathered list.
+    """
+    lo = ptr[rows]
+    counts = np.append(ptr[1:], n_edges)[rows] - lo
+    starts = np.cumsum(counts) - counts
+    edges = np.arange(int(counts.sum()), dtype=np.intp) + np.repeat(
+        lo - starts, counts
+    )
+    return edges, starts
+
+
+# Raw (pre gain/offset) targets of one kind's blocks, from the current
+# voltages ``v``.  Source-index arguments come first.
+def _lin(v, src, w, ptr, const):
+    return np.add.reduceat(v[..., src] * w, ptr, axis=-1) + const
+
+
+def _absdiff(v, a, b, w):
+    return w * np.abs(v[..., a] - v[..., b])
+
+
+def _maximum(v, src, ptr):
+    return np.maximum.reduceat(v[..., src], ptr, axis=-1)
+
+
+def _minimum(v, src, ptr):
+    return np.minimum.reduceat(v[..., src], ptr, axis=-1)
+
+
+def _mux(v, a, b, t, f, thr):
+    close = np.abs(v[..., a] - v[..., b]) <= thr
+    return np.where(close, v[..., t], v[..., f])
+
+
+def _gate(v, a, b, thr, high, low):
+    far = np.abs(v[..., a] - v[..., b]) > thr
+    return np.where(far, high, low)
+
+
+#: Per non-const kind: its kernel, how many leading kernel arguments
+#: are source indices, and which argument holds the ``reduceat``
+#: starts of a variable-arity kind (arguments before it have one entry
+#: per edge, after it one per block; ``None``: all are per block).
+_KERNELS = {
+    KIND_LIN: (_lin, 1, 2),
+    KIND_ABSDIFF: (_absdiff, 2, None),
+    KIND_MAX: (_maximum, 1, 1),
+    KIND_MIN: (_minimum, 1, 1),
+    KIND_MUX: (_mux, 4, None),
+    KIND_GATE: (_gate, 2, None),
+}
+
+
 class _SubsetOps:
     """Evaluation plan for a subset of a :class:`FrozenGraph`'s blocks.
 
-    Packs the subset's blocks by kind (mirroring the full-graph packed
-    arrays) so one levelized pass — or the per-step transient update —
-    touches only those blocks.  Source indices still address the full
-    voltage vector; only the *written* positions are subset-local.
+    Packs the subset's blocks by kind (each kind in ``ids`` order) into
+    its kernel's arguments, so the per-step transient update touches
+    only those blocks.  Source indices still address the full voltage
+    vector; only the *written* positions are subset-local.
     """
 
     __slots__ = (
@@ -346,33 +409,7 @@ class _SubsetOps:
         "rail",
         "const_pos",
         "const_take",
-        "lin_pos",
-        "lin_src",
-        "lin_w",
-        "lin_ptr",
-        "lin_const",
-        "abs_pos",
-        "abs_a",
-        "abs_b",
-        "abs_w",
-        "max_pos",
-        "max_src",
-        "max_ptr",
-        "min_pos",
-        "min_src",
-        "min_ptr",
-        "mux_pos",
-        "mux_a",
-        "mux_b",
-        "mux_t",
-        "mux_f",
-        "mux_thr",
-        "gate_pos",
-        "gate_a",
-        "gate_b",
-        "gate_thr",
-        "gate_high",
-        "gate_low",
+        "kinds",
     )
 
     def __init__(self, frozen: "FrozenGraph", ids: np.ndarray) -> None:
@@ -383,129 +420,162 @@ class _SubsetOps:
         kinds = frozen.kind[ids]
         pos = np.arange(ids.size, dtype=np.intp)
 
-        def members(kind: int) -> Tuple[np.ndarray, np.ndarray]:
-            mask = kinds == kind
-            return ids[mask], pos[mask]
-
-        sel, self.const_pos = members(KIND_CONST)
-        self.const_take = np.searchsorted(frozen.const_ids, sel)
-
-        sel, self.lin_pos = members(KIND_LIN)
-        li = np.searchsorted(frozen.lin_ids, sel)
-        full_ptr = np.append(frozen.lin_ptr, frozen.lin_src.size)
-        src: List[int] = []
-        w: List[float] = []
-        ptr = [0]
-        for k in li:
-            s, e = int(full_ptr[k]), int(full_ptr[k + 1])
-            src.extend(frozen.lin_src[s:e])
-            w.extend(frozen.lin_w[s:e])
-            ptr.append(len(src))
-        self.lin_src = np.array(src, dtype=np.intp)
-        self.lin_w = np.array(w)
-        self.lin_ptr = np.array(ptr[:-1], dtype=np.intp)
-        self.lin_const = frozen.lin_const[li]
-
-        sel, self.abs_pos = members(KIND_ABSDIFF)
-        ai = np.searchsorted(frozen.abs_ids, sel)
-        self.abs_a = frozen.abs_a[ai]
-        self.abs_b = frozen.abs_b[ai]
-        self.abs_w = frozen.abs_w[ai]
-
-        def pack(
-            full_ids: np.ndarray,
-            full_src: np.ndarray,
-            full_ptr_arr: np.ndarray,
-            sel_ids: np.ndarray,
+        def members(
+            kind: int, kind_ids: np.ndarray
         ) -> Tuple[np.ndarray, np.ndarray]:
-            ki = np.searchsorted(full_ids, sel_ids)
-            fptr = np.append(full_ptr_arr, full_src.size)
-            out_src: List[int] = []
-            out_ptr = [0]
-            for k in ki:
-                out_src.extend(full_src[int(fptr[k]) : int(fptr[k + 1])])
-                out_ptr.append(len(out_src))
-            return (
-                np.array(out_src, dtype=np.intp),
-                np.array(out_ptr[:-1], dtype=np.intp),
-            )
+            """Subset positions of ``kind``'s blocks and their indices
+            into that kind's packed arrays."""
+            mask = kinds == kind
+            return pos[mask], np.searchsorted(kind_ids, ids[mask])
 
-        sel, self.max_pos = members(KIND_MAX)
-        self.max_src, self.max_ptr = pack(
-            frozen.max_ids, frozen.max_src, frozen.max_ptr, sel
-        )
-        sel, self.min_pos = members(KIND_MIN)
-        self.min_src, self.min_ptr = pack(
-            frozen.min_ids, frozen.min_src, frozen.min_ptr, sel
-        )
-
-        sel, self.mux_pos = members(KIND_MUX)
-        mi = np.searchsorted(frozen.mux_ids, sel)
-        self.mux_a = frozen.mux_a[mi]
-        self.mux_b = frozen.mux_b[mi]
-        self.mux_t = frozen.mux_t[mi]
-        self.mux_f = frozen.mux_f[mi]
-        self.mux_thr = frozen.mux_thr[mi]
-
-        sel, self.gate_pos = members(KIND_GATE)
-        gi = np.searchsorted(frozen.gate_ids, sel)
-        self.gate_a = frozen.gate_a[gi]
-        self.gate_b = frozen.gate_b[gi]
-        self.gate_thr = frozen.gate_thr[gi]
-        self.gate_high = frozen.gate_high[gi]
-        self.gate_low = frozen.gate_low[gi]
+        f = frozen
+        self.const_pos, self.const_take = members(KIND_CONST, f.const_ids)
+        lin_pos, li = members(KIND_LIN, f.lin_ids)
+        lin_e, lin_ptr = _gather_edges(f.lin_ptr, f.lin_src.size, li)
+        max_pos, xi = members(KIND_MAX, f.max_ids)
+        max_e, max_ptr = _gather_edges(f.max_ptr, f.max_src.size, xi)
+        min_pos, ni = members(KIND_MIN, f.min_ids)
+        min_e, min_ptr = _gather_edges(f.min_ptr, f.min_src.size, ni)
+        abs_pos, ai = members(KIND_ABSDIFF, f.abs_ids)
+        mux_pos, mi = members(KIND_MUX, f.mux_ids)
+        gate_pos, gi = members(KIND_GATE, f.gate_ids)
+        #: kind -> (subset positions, kernel arguments)
+        self.kinds = {
+            KIND_LIN: (
+                lin_pos,
+                (f.lin_src[lin_e], f.lin_w[lin_e], lin_ptr, f.lin_const[li]),
+            ),
+            KIND_ABSDIFF: (
+                abs_pos,
+                (f.abs_a[ai], f.abs_b[ai], f.abs_w[ai]),
+            ),
+            KIND_MAX: (max_pos, (f.max_src[max_e], max_ptr)),
+            KIND_MIN: (min_pos, (f.min_src[min_e], min_ptr)),
+            KIND_MUX: (
+                mux_pos,
+                (
+                    f.mux_a[mi],
+                    f.mux_b[mi],
+                    f.mux_t[mi],
+                    f.mux_f[mi],
+                    f.mux_thr[mi],
+                ),
+            ),
+            KIND_GATE: (
+                gate_pos,
+                (
+                    f.gate_a[gi],
+                    f.gate_b[gi],
+                    f.gate_thr[gi],
+                    f.gate_high[gi],
+                    f.gate_low[gi],
+                ),
+            ),
+        }
 
     def eval_into(
         self, v: np.ndarray, const_values: np.ndarray, out: np.ndarray
     ) -> None:
         """Write the subset's settled targets into ``out[..., ids]``.
 
-        Reads input voltages from ``v``; ``v`` and ``out`` may be the
-        same array (safe during a levelized pass: a block's inputs are
-        always at a strictly smaller depth, never in its own level).
-        Batched when ``v``/``const_values`` carry leading axes.
+        Reads input voltages from ``v``; batched when
+        ``v``/``const_values`` carry leading axes.
         """
         raw = np.zeros(v.shape[:-1] + (self.ids.size,))
         if self.const_pos.size:
             raw[..., self.const_pos] = const_values[..., self.const_take]
-        if self.lin_pos.size:
-            contrib = v[..., self.lin_src] * self.lin_w
-            raw[..., self.lin_pos] = (
-                np.add.reduceat(contrib, self.lin_ptr, axis=-1)
-                + self.lin_const
-            )
-        if self.abs_pos.size:
-            raw[..., self.abs_pos] = self.abs_w * np.abs(
-                v[..., self.abs_a] - v[..., self.abs_b]
-            )
-        if self.max_pos.size:
-            raw[..., self.max_pos] = np.maximum.reduceat(
-                v[..., self.max_src], self.max_ptr, axis=-1
-            )
-        if self.min_pos.size:
-            raw[..., self.min_pos] = np.minimum.reduceat(
-                v[..., self.min_src], self.min_ptr, axis=-1
-            )
-        if self.mux_pos.size:
-            close = (
-                np.abs(v[..., self.mux_a] - v[..., self.mux_b])
-                <= self.mux_thr
-            )
-            raw[..., self.mux_pos] = np.where(
-                close, v[..., self.mux_t], v[..., self.mux_f]
-            )
-        if self.gate_pos.size:
-            far = (
-                np.abs(v[..., self.gate_a] - v[..., self.gate_b])
-                > self.gate_thr
-            )
-            raw[..., self.gate_pos] = np.where(
-                far, self.gate_high, self.gate_low
-            )
+        for kind, (pos, args) in self.kinds.items():
+            if pos.size:
+                raw[..., pos] = _KERNELS[kind][0](v, *args)
         raw = raw * self.gain + self.offset
         if self.rail is not None:
             np.clip(raw, -self.rail, self.rail, out=raw)
         out[..., self.ids] = raw
+
+
+class _LevelProgram:
+    """:meth:`FrozenGraph.solve` compiled into one slice-addressed pass.
+
+    Blocks are renumbered by ``(depth, kind)`` — a stable sort, so each
+    kind keeps id order inside its level — which makes every level, and
+    every kind's run inside a level, a contiguous slice of the working
+    voltage vector.  The consts come first, in id order: exactly the
+    bound ``const_values``.  Each run writes its raw targets straight
+    into its slice; the level then applies gain, offset and the rail
+    clip in place.  Sources are renumbered too, and :attr:`rank` maps
+    the result back to block order.
+    """
+
+    __slots__ = ("levels", "rank", "n_const", "rail")
+
+    def __init__(self, frozen: "FrozenGraph") -> None:
+        order = np.lexsort((frozen.kind, frozen.depth))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size, dtype=np.intp)
+        self.rank = rank
+        self.n_const = frozen.const_ids.size
+        self.rail = frozen.supply_rail
+        # Every block packed by kind in program order (one CSR gather
+        # per kind), so each (level, kind) run is a consecutive range
+        # of its kind's arguments.
+        ops = _SubsetOps(frozen, order)
+        packed = {
+            k: tuple(
+                rank[x] if i < _KERNELS[k][1] else x
+                for i, x in enumerate(args)
+            )
+            for k, (_, args) in ops.kinds.items()
+        }
+
+        def run_args(k: int, c0: int, c1: int) -> tuple:
+            args, ptr_at = packed[k], _KERNELS[k][2]
+            if ptr_at is None:
+                return tuple(x[c0:c1] for x in args)
+            ptr = args[ptr_at]
+            e0 = int(ptr[c0])
+            e1 = int(ptr[c1]) if c1 < ptr.size else args[0].size
+            return (
+                *(x[e0:e1] for x in args[:ptr_at]),
+                ptr[c0:c1] - e0,
+                *(x[c0:c1] for x in args[ptr_at + 1 :]),
+            )
+
+        kind = frozen.kind[order]
+        depth = frozen.depth[order]
+        starts = np.flatnonzero(
+            np.diff(kind, prepend=-1) | np.diff(depth, prepend=-1)
+        ).tolist()
+        cursor = dict.fromkeys(_KERNELS, 0)
+        self.levels: List[tuple] = []
+        runs: list = []
+        lo = 0
+        for a, b in zip(starts, starts[1:] + [order.size]):
+            k = int(kind[a])
+            if k != KIND_CONST:
+                c0 = cursor[k]
+                cursor[k] = c1 = c0 + b - a
+                runs.append((_KERNELS[k][0], a, b, run_args(k, c0, c1)))
+            if b == order.size or depth[b] != depth[a]:
+                self.levels.append(
+                    (lo, b, ops.gain[lo:b], ops.offset[lo:b], runs)
+                )
+                lo, runs = b, []
+
+    def run(self, cv: np.ndarray) -> np.ndarray:
+        """Settled voltages, in block order, for source values ``cv``
+        (leading axes batch the solve)."""
+        v = np.empty(cv.shape[:-1] + (self.rank.size,))
+        v[..., : self.n_const] = cv
+        rail = self.rail
+        for lo, hi, gain, offset, runs in self.levels:
+            for kernel, a, b, args in runs:
+                v[..., a:b] = kernel(v, *args)
+            level = v[..., lo:hi]
+            level *= gain
+            level += offset
+            if rail is not None:
+                np.clip(level, -rail, rail, out=level)
+        return v[..., self.rank]
 
 
 class FrozenGraph:
@@ -517,11 +587,12 @@ class FrozenGraph:
     Two execution strategies share these arrays: the reference Jacobi
     sweep (:func:`repro.analog.dc_solve` with ``method="jacobi"``) and
     the levelized pass (:meth:`solve`), which exploits the topological
-    ``depth`` precomputed here to settle in exactly ``n_levels`` subset
-    evaluations.  :meth:`bind` rebinds ``const_values`` without
-    repacking, which is what the accelerator's graph-template cache
-    builds on; a bound view with a ``(batch, n_const)`` matrix solves
-    every row in one vectorized pass.
+    ``depth`` precomputed here to settle in exactly ``n_levels`` level
+    evaluations of a program compiled on first use.  :meth:`bind`
+    rebinds ``const_values`` without repacking, which is what the
+    accelerator's graph-template cache builds on; a bound view with a
+    ``(batch, n_const)`` matrix solves every row in one vectorized
+    pass.
     """
 
     def __init__(self, graph: BlockGraph) -> None:
@@ -529,123 +600,101 @@ class FrozenGraph:
         n = len(blocks)
         self.n_blocks = n
         self.outputs = dict(graph._outputs)
-        self.tau = np.array([b.tau for b in blocks])
-        self.kind = np.array([b.kind for b in blocks])
-        self.gain = np.array([b.gain for b in blocks])
-        self.offset = np.array([b.offset for b in blocks])
         self.labels = [b.label for b in blocks]
         self.supply_rail = graph.nonideality.supply_rail
-        self._inputs = [b.inputs for b in blocks]
 
-        # Critical-path settling budget: the sum of taus along the
-        # slowest input chain of each block.  Cascaded first-order
-        # stages settle in roughly ln(1/tol) times this, which sizes
-        # the transient window without trial and error.
-        critical = np.zeros(n)
-        depth = np.zeros(n, dtype=np.intp)
-        for i, b in enumerate(blocks):
-            upstream = max(
-                (critical[s] for s in b.inputs), default=0.0
+        def column(
+            field: str, ids: Optional[np.ndarray] = None, dtype=np.float64
+        ) -> np.ndarray:
+            rows = blocks if ids is None else [blocks[i] for i in ids.tolist()]
+            return np.fromiter(
+                map(operator.attrgetter(field), rows), dtype, len(rows)
             )
-            critical[i] = b.tau + upstream
-            if b.inputs:
-                depth[i] = 1 + max(depth[s] for s in b.inputs)
-        self.critical_tau = critical
+
+        self.tau = column("tau")
+        self.kind = column("kind", dtype=np.intp)
+        self.gain = column("gain")
+        self.offset = column("offset")
+
+        def flatten(rows: list, dtype) -> Tuple[np.ndarray, np.ndarray]:
+            """Concatenated per-block tuples and each block's start."""
+            counts = np.fromiter(map(len, rows), np.intp, n)
+            flat = np.fromiter(chain.from_iterable(rows), dtype)
+            return flat, np.cumsum(counts) - counts
+
+        # Edge lists in CSR form: block ``i`` owns inputs
+        # ``in_src[in_ptr[i]:in_ptr[i + 1]]`` (weights likewise).
+        inputs = [b.inputs for b in blocks]
+        self.in_src, self.in_ptr = flatten(inputs, np.intp)
+        w_flat, w_ptr = flatten([b.weights for b in blocks], np.float64)
+
+        # One pass for topological depth and the critical-path settling
+        # budget — the sum of taus along the slowest input chain of
+        # each block.  Cascaded first-order stages settle in roughly
+        # ln(1/tol) times that, which sizes the transient window
+        # without trial and error.
+        critical: List[float] = []
+        depth: List[int] = []
+        critical_of, depth_of = critical.__getitem__, depth.__getitem__
+        for b, ins in zip(blocks, inputs):
+            if ins:
+                critical.append(b.tau + max(map(critical_of, ins)))
+                depth.append(1 + max(map(depth_of, ins)))
+            else:
+                critical.append(b.tau + 0.0)
+                depth.append(0)
+        self.critical_tau = np.array(critical)
         #: Topological depth per block (0 = sources); the levelized
         #: solver settles the graph in exactly ``n_levels`` passes.
-        self.depth = depth
-        self.n_levels = int(depth.max()) + 1 if n else 0
-        # Lazily-built _SubsetOps, shared (by reference) with every
+        self.depth = np.array(depth, dtype=np.intp)
+        self.n_levels = int(self.depth.max()) + 1 if n else 0
+        # Lazily compiled solve plans, shared (by reference) with every
         # bound view so rebinding const_values never repacks edges.
         self._ops_cache: Dict[str, object] = {}
 
-        def ids_of(kind: int) -> np.ndarray:
-            return np.array(
-                [i for i, b in enumerate(blocks) if b.kind == kind],
-                dtype=np.intp,
+        def ids_of(k: int) -> np.ndarray:
+            return np.flatnonzero(self.kind == k)
+
+        def first_inputs(ids: np.ndarray, arity: int) -> List[np.ndarray]:
+            head = self.in_ptr[ids]
+            return [self.in_src[head + j] for j in range(arity)]
+
+        def edges_of(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            edges, starts = _gather_edges(
+                self.in_ptr, self.in_src.size, ids
             )
+            return self.in_src[edges], starts
 
-        # const
         self.const_ids = ids_of(KIND_CONST)
-        self.const_values = np.array(
-            [blocks[i].constant for i in self.const_ids]
-        )
+        self.const_values = column("constant", self.const_ids)
 
-        # lin: flat edge arrays + reduce offsets
+        # lin / max / min: flat edge arrays + reduce offsets
         self.lin_ids = ids_of(KIND_LIN)
-        lin_src: List[int] = []
-        lin_w: List[float] = []
-        lin_ptr = [0]
-        for i in self.lin_ids:
-            b = blocks[i]
-            lin_src.extend(b.inputs)
-            lin_w.extend(b.weights)
-            lin_ptr.append(len(lin_src))
-        self.lin_src = np.array(lin_src, dtype=np.intp)
-        self.lin_w = np.array(lin_w)
-        self.lin_ptr = np.array(lin_ptr[:-1], dtype=np.intp)
-        self.lin_const = np.array(
-            [blocks[i].constant for i in self.lin_ids]
-        )
-
-        # absdiff
-        self.abs_ids = ids_of(KIND_ABSDIFF)
-        self.abs_a = np.array(
-            [blocks[i].inputs[0] for i in self.abs_ids], dtype=np.intp
-        )
-        self.abs_b = np.array(
-            [blocks[i].inputs[1] for i in self.abs_ids], dtype=np.intp
-        )
-        self.abs_w = np.array(
-            [blocks[i].weights[0] for i in self.abs_ids]
-        )
-
-        # max / min
+        self.lin_src, self.lin_ptr = edges_of(self.lin_ids)
+        self.lin_w = w_flat[
+            _gather_edges(w_ptr, w_flat.size, self.lin_ids)[0]
+        ]
+        self.lin_const = column("constant", self.lin_ids)
         self.max_ids = ids_of(KIND_MAX)
-        self.max_src, self.max_ptr = self._pack_edges(blocks, self.max_ids)
+        self.max_src, self.max_ptr = edges_of(self.max_ids)
         self.min_ids = ids_of(KIND_MIN)
-        self.min_src, self.min_ptr = self._pack_edges(blocks, self.min_ids)
+        self.min_src, self.min_ptr = edges_of(self.min_ids)
 
-        # mux
+        self.abs_ids = ids_of(KIND_ABSDIFF)
+        self.abs_a, self.abs_b = first_inputs(self.abs_ids, 2)
+        self.abs_w = w_flat[w_ptr[self.abs_ids]]
+
         self.mux_ids = ids_of(KIND_MUX)
-        mux_in = np.array(
-            [blocks[i].inputs for i in self.mux_ids], dtype=np.intp
-        ).reshape(-1, 4)
-        self.mux_a = mux_in[:, 0]
-        self.mux_b = mux_in[:, 1]
-        self.mux_t = mux_in[:, 2]
-        self.mux_f = mux_in[:, 3]
-        self.mux_thr = np.array(
-            [blocks[i].threshold for i in self.mux_ids]
+        self.mux_a, self.mux_b, self.mux_t, self.mux_f = first_inputs(
+            self.mux_ids, 4
         )
+        self.mux_thr = column("threshold", self.mux_ids)
 
-        # gate
         self.gate_ids = ids_of(KIND_GATE)
-        gate_in = np.array(
-            [blocks[i].inputs for i in self.gate_ids], dtype=np.intp
-        ).reshape(-1, 2)
-        self.gate_a = gate_in[:, 0]
-        self.gate_b = gate_in[:, 1]
-        self.gate_thr = np.array(
-            [blocks[i].threshold for i in self.gate_ids]
-        )
-        self.gate_high = np.array(
-            [blocks[i].v_high for i in self.gate_ids]
-        )
-        self.gate_low = np.array(
-            [blocks[i].v_low for i in self.gate_ids]
-        )
-
-    @staticmethod
-    def _pack_edges(blocks, ids) -> Tuple[np.ndarray, np.ndarray]:
-        src: List[int] = []
-        ptr = [0]
-        for i in ids:
-            src.extend(blocks[i].inputs)
-            ptr.append(len(src))
-        return np.array(src, dtype=np.intp), np.array(
-            ptr[:-1], dtype=np.intp
-        )
+        self.gate_a, self.gate_b = first_inputs(self.gate_ids, 2)
+        self.gate_thr = column("threshold", self.gate_ids)
+        self.gate_high = column("v_high", self.gate_ids)
+        self.gate_low = column("v_low", self.gate_ids)
 
     def stats(self) -> Dict[str, int]:
         """Block counts per kind plus depth — the analog resource view.
@@ -688,15 +737,12 @@ class FrozenGraph:
         bound.const_values = cv
         return bound
 
-    def _level_ops(self) -> "List[_SubsetOps]":
-        ops = self._ops_cache.get("levels")
-        if ops is None:
-            ops = [
-                _SubsetOps(self, np.flatnonzero(self.depth == d))
-                for d in range(self.n_levels)
-            ]
-            self._ops_cache["levels"] = ops
-        return ops  # type: ignore[return-value]
+    def _program(self) -> _LevelProgram:
+        program = self._ops_cache.get("program")
+        if program is None:
+            program = _LevelProgram(self)
+            self._ops_cache["program"] = program
+        return program  # type: ignore[return-value]
 
     def _nonconst_ops(self) -> "_SubsetOps":
         ops = self._ops_cache.get("nonconst")
@@ -714,8 +760,10 @@ class FrozenGraph:
         feedforward DAG: evaluating level ``d`` after levels
         ``0..d-1`` uses only already-final inputs, making one pass per
         level an *exact* fixed point — bit-identical to the Jacobi
-        reference sweep, in ``n_levels`` subset evaluations instead of
-        up to ``n_blocks + 2`` full-graph sweeps.
+        reference sweep, in ``n_levels`` level evaluations instead of
+        up to ``n_blocks + 2`` full-graph sweeps.  The first call
+        compiles the level program (see :class:`_LevelProgram`); it is
+        shared with every :meth:`bind` view.
 
         ``const_values`` (default: the bound values) may carry leading
         batch axes; the result then has shape ``(*batch, n_blocks)``.
@@ -725,10 +773,7 @@ class FrozenGraph:
             if const_values is None
             else np.asarray(const_values, dtype=np.float64)
         )
-        v = np.zeros(cv.shape[:-1] + (self.n_blocks,))
-        for level in self._level_ops():
-            level.eval_into(v, cv, v)
-        return v
+        return self._program().run(cv)
 
     def targets(
         self,

@@ -108,9 +108,7 @@ def check_block_graph(
     # ERC101: blocks driving nothing.  A dead stage is either wasted
     # silicon or — worse — a mis-wired intermediate the designer meant
     # to consume.
-    consumed: Set[int] = set()
-    for inputs in frozen._inputs:
-        consumed.update(int(s) for s in inputs)
+    consumed: Set[int] = set(frozen.in_src.tolist())
     tapped = set(int(i) for i in outputs.values())
     for i in range(n):
         if i not in consumed and i not in tapped:

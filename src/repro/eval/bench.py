@@ -3,7 +3,8 @@
 Times the vectorized execution engine (levelized settles + graph
 template cache + batched solves) against the seed engine's behaviour
 (Jacobi sweeps, graph rebuilt per settle) on three representative
-workloads, plus one batched-versus-sequential case:
+workloads and one cold-template case, plus one batched-versus-sequential
+case:
 
 * ``single_dtw`` — repeated DTW n=40 ``compute`` on the paper's
   128x128 array (single tile; the template cache is warm after the
@@ -15,7 +16,11 @@ workloads, plus one batched-versus-sequential case:
 * ``batch_dtw`` — 32 DTW n=16 pairs through one ``compute_many``
   against 32 sequential ``compute`` calls on the same warm chip (the
   pool's coalesced-settle primitive; here the baseline is the default
-  engine one query at a time, not the seed engine).
+  engine one query at a time, not the seed engine);
+* ``cold_dtw`` — the first DTW n=40 ``compute`` after
+  ``invalidate_templates()``: graph build, freeze, level-program
+  compile and solve, the cost every fault-epoch bump (inject,
+  recalibrate, replace) makes a chip pay again.
 
 Every case checks bit-identical values between the two engines before
 timing — a benchmark of a wrong answer is worse than no benchmark.
@@ -36,11 +41,14 @@ from ..accelerator.params import PAPER_PARAMS
 
 #: Acceptance floors: warm-cache single compute and the batched settle
 #: must beat the seed engine by at least this much, and a coalesced
-#: ``compute_many`` must beat the same chip's sequential loop.
+#: ``compute_many`` must beat the same chip's sequential loop.  A cold
+#: compute spends most of its time building the graph, which both
+#: engines do, so its floor only bounds how far it may fall behind.
 SPEEDUP_FLOOR = {
     "single_dtw": 5.0,
     "batch_manhattan": 3.0,
     "batch_dtw": 3.0,
+    "cold_dtw": 0.6,
 }
 
 
@@ -172,7 +180,7 @@ def run_engine_bench(
     repeats: Optional[int] = None,
     seed: int = 0,
 ) -> BenchReport:
-    """Run the four-case engine benchmark.
+    """Run the five-case engine benchmark.
 
     ``smoke`` keeps the repeat count minimal for CI; ``repeats``
     overrides it.  The baseline accelerators disable the template
@@ -258,6 +266,22 @@ def run_engine_bench(
             lambda: np.array(
                 [fast_chip.compute("dtw", p, q).value for p, q in dtw_pairs]
             ),
+            repeats,
+        )
+    )
+
+    # 5. Cold DTW n=40: every timed call rebuilds, freezes, compiles
+    #    and solves the template, against the seed engine's rebuild +
+    #    Jacobi sweeps.
+    def cold_compute() -> float:
+        fast_chip.invalidate_templates()
+        return fast_chip.compute("dtw", p40, q40).value
+
+    cases.append(
+        _time_case(
+            "cold_dtw",
+            cold_compute,
+            lambda: seed_chip.compute("dtw", p40, q40).value,
             repeats,
         )
     )

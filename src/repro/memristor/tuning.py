@@ -101,10 +101,10 @@ def _modulate_towards(
     current = device.resistance
     step = config.write_gain * (target_resistance - current)
     new_r = (current + step) * (1.0 + rng.normal(0.0, config.write_noise))
-    new_r = float(
-        np.clip(new_r, device.params.r_on, device.params.r_off)
-    )
-    device.set_resistance(new_r)
+    # Scalar clamp: same value as ``np.clip`` on one float, without
+    # the ufunc dispatch the repair loop would pay per pulse.
+    p = device.params
+    device.set_resistance(min(max(float(new_r), p.r_on), p.r_off))
 
 
 def tune_ratio(

@@ -17,12 +17,14 @@ import pytest
 
 import repro.accelerator.array as array_module
 import repro.analog.engine as engine_module
+import repro.analog.graph as graph_module
 from repro.accelerator import (
     AcceleratorParameters,
     DistanceAccelerator,
 )
 from repro.analog import (
     BlockGraph,
+    NonidealityModel,
     dc_solve,
     measure_convergence_many,
 )
@@ -109,6 +111,152 @@ class TestLevelizedEquivalence:
             dc_solve(frozen, method="gauss-seidel")
         with pytest.raises(ConfigurationError):
             DistanceAccelerator(solver="spice")
+
+
+#: Rail for the clipping variants of the random-DAG checks: below the
+#: spread of the random sources, so the clip fires on some blocks.
+RAIL = 0.8
+
+
+def _random_graph(seed: int, supply_rail=None) -> "BlockGraph":
+    """A seeded random DAG mixing all seven block kinds.
+
+    Inputs are drawn from every earlier block, so fan-in, depth and
+    the number of blocks per level all vary; sources appear late in
+    the id order too, and some lin/max/min stages fan in more than
+    eight inputs.
+    """
+    rng = np.random.default_rng(seed)
+    g = BlockGraph(NonidealityModel(seed=seed, supply_rail=supply_rail))
+    for _ in range(int(rng.integers(2, 6))):
+        g.const(float(rng.normal(0.0, 1.5)))
+    kinds = ["const", "lin", "absdiff", "max", "min", "mux", "gate"]
+    plan = list(rng.permutation(kinds[1:]))
+    plan += list(rng.choice(kinds, size=int(rng.integers(10, 50))))
+
+    def pick(k: int) -> list:
+        return [int(i) for i in rng.integers(0, len(g), size=k)]
+
+    for kind in plan:
+        fan_in = int(rng.choice([1, 2, 3, 5, 12]))
+        if kind == "const":
+            g.const(float(rng.normal(0.0, 1.5)))
+        elif kind == "lin":
+            g.lin(
+                [(s, float(rng.normal())) for s in pick(fan_in)],
+                constant=float(rng.normal(0.0, 0.1)),
+            )
+        elif kind == "absdiff":
+            g.absdiff(*pick(2), weight=float(rng.uniform(0.5, 1.5)))
+        elif kind == "max":
+            g.maximum(pick(fan_in))
+        elif kind == "min":
+            g.minimum(pick(fan_in))
+        elif kind == "mux":
+            g.mux(*pick(4), threshold=float(rng.uniform(0.0, 1.0)))
+        else:
+            g.gate(
+                *pick(2),
+                threshold=float(rng.uniform(0.0, 1.0)),
+                v_high=float(rng.normal()),
+                v_low=float(rng.normal(0.0, 0.1)),
+            )
+    g.mark_output("out", len(g) - 1)
+    return g
+
+
+def _assert_levelized_is_jacobi(frozen) -> np.ndarray:
+    levelized = dc_solve(frozen, method="levelized")
+    jacobi = dc_solve(frozen, method="jacobi")
+    assert levelized.shape == jacobi.shape
+    assert np.array_equal(levelized, jacobi)
+    # Signed zeros too: the solve must be the same bits.
+    assert np.array_equal(np.signbit(levelized), np.signbit(jacobi))
+    return levelized
+
+
+class TestLevelProgram:
+    """The compiled level program against the Jacobi reference."""
+
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("rail", [None, RAIL])
+    def test_random_dags_match_jacobi(self, rail):
+        clipped = 0
+        for seed in self.SEEDS:
+            frozen = _random_graph(seed, supply_rail=rail).freeze()
+            assert set(frozen.stats()) >= set(graph_module.KIND_NAMES.values())
+            assert frozen.n_levels > 2
+            v = _assert_levelized_is_jacobi(frozen)
+            if rail is not None:
+                clipped += int(np.any(np.abs(v) == rail))
+        if rail is not None:
+            assert clipped > len(self.SEEDS) // 2
+
+    @pytest.mark.parametrize("rail", [None, RAIL])
+    def test_random_dags_match_jacobi_batched(self, rail):
+        for seed in self.SEEDS:
+            frozen = _random_graph(seed, supply_rail=rail).freeze()
+            batch = np.random.default_rng(seed).normal(
+                0.0, 1.5, size=(5, frozen.const_ids.size)
+            )
+            solved = _assert_levelized_is_jacobi(frozen.bind(batch))
+            assert solved.shape == (5, frozen.n_blocks)
+
+    def test_levels_hold_several_blocks(self):
+        frozen = _random_graph(0).freeze()
+        widths = np.bincount(frozen.depth)
+        assert widths.max() > 1 and (widths[1:] > 1).any()
+
+    def test_const_only_graph(self):
+        g = BlockGraph(NonidealityModel(supply_rail=RAIL))
+        for value in (0.3, -2.0, 0.0, 1.5):
+            g.const(value)
+        frozen = g.freeze()
+        assert frozen.n_levels == 1
+        v = _assert_levelized_is_jacobi(frozen)
+        assert np.array_equal(v, [0.3, -RAIL, 0.0, RAIL])
+        assert _assert_levelized_is_jacobi(BlockGraph().freeze()).size == 0
+
+    def test_single_level_graph(self):
+        g = BlockGraph()
+        a, b, c = g.const(0.3), g.const(0.7), g.const(-0.2)
+        g.lin([(a, 1.0), (b, -0.5)], constant=0.1)
+        g.absdiff(a, c)
+        g.maximum([a, b, c])
+        g.minimum([c, b])
+        g.mux(a, b, b, c, threshold=0.5)
+        g.gate(a, c, threshold=0.1, v_high=0.9)
+        g.lin([(c, 2.0)])
+        frozen = g.freeze()
+        assert frozen.n_levels == 2
+        _assert_levelized_is_jacobi(frozen)
+        batch = np.random.default_rng(1).normal(size=(3, 3))
+        _assert_levelized_is_jacobi(frozen.bind(batch))
+
+    def test_bound_views_share_the_compiled_program(self):
+        frozen = _random_graph(7).freeze()
+        program = frozen._program()
+        bound = frozen.bind(np.zeros(frozen.const_ids.size))
+        assert bound._program() is program
+        rebound = frozen.bind(np.ones((3, frozen.const_ids.size)))
+        rebound.solve()
+        assert rebound._program() is program
+
+    def test_template_compiles_once_across_queries(self, monkeypatch, rng):
+        compiled = []
+        original = graph_module._LevelProgram.__init__
+
+        def counting(self, frozen):
+            compiled.append(frozen.n_blocks)
+            original(self, frozen)
+
+        monkeypatch.setattr(graph_module._LevelProgram, "__init__", counting)
+        chip = DistanceAccelerator()
+        for _ in range(5):
+            chip.compute("dtw", rng.normal(size=12), rng.normal(size=12))
+        assert len(compiled) == 1
+        assert chip.template_cache_info()["hits"] >= 4
 
 
 class TestTemplateCache:
