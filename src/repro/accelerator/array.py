@@ -171,10 +171,13 @@ class DistanceAccelerator:
         structure key ``(function, n, m, weights, threshold, band)``,
         rebinding only the source voltages per query.  Disable to
         rebuild every graph from scratch (the pre-cache behaviour;
-        results are bit-identical either way).  The cache is bypassed
-        automatically when an attached fault map draws time-varying
-        read disturb, and invalidated (fault epoch bump) on
-        ``inject_faults``/``clear_faults``/recalibration.
+        results are bit-identical either way).  Templates are
+        invalidated (fault epoch bump) on
+        ``inject_faults``/``clear_faults``/recalibration; a faulted
+        chip then re-derives their values on the kept graph structure
+        instead of rebuilding it.  An attached fault map that draws
+        time-varying read disturb derives fresh values on every
+        settle and stores none.
     solver:
         ``"levelized"`` (default) settles in one pass per topological
         depth level; ``"jacobi"`` is the reference full-graph sweep.
@@ -217,6 +220,9 @@ class DistanceAccelerator:
         self._templates: "OrderedDict[Hashable, _GraphTemplate]" = (
             OrderedDict()
         )
+        self._structures: "OrderedDict[Hashable, _GraphTemplate]" = (
+            OrderedDict()
+        )
         self._template_capacity = 256
         self._template_hits = 0
         self._template_misses = 0
@@ -242,8 +248,9 @@ class DistanceAccelerator:
     def inject_faults(self, state: "FaultState") -> None:
         """Attach a runtime fault map (see :mod:`repro.faults`).
 
-        Subsequent computations build fault-aware block graphs; the
-        usable array shrinks to the fault map's repacked healthy rows.
+        Subsequent computations carry the fault map's stage values;
+        the usable array shrinks to the fault map's repacked healthy
+        rows.
         Cached graph templates are invalidated: a template frozen
         before the fault map attached would silently serve fault-free
         voltages.
@@ -266,6 +273,9 @@ class DistanceAccelerator:
         by :func:`repro.faults.repair.recalibrate`.  Call it manually
         after mutating an attached :class:`FaultState` in place
         (``disable_site``, offset tuning, ...) outside those paths.
+        The graph structures stay: a fault changes stage values, not
+        topology, so the next query of each key only re-derives its
+        values (see :meth:`_template`).
         """
         self._templates.clear()
         self.fault_epoch += 1
@@ -421,29 +431,80 @@ class DistanceAccelerator:
     # -- graph-template cache ----------------------------------------------
     def _template_cache_active(self) -> bool:
         """Cache usable now?  Time-varying read disturb draws fresh
-        noise per *build* (stateful RNG), so a frozen template would
-        pin one noise sample forever — bypass the cache entirely."""
+        noise per settle (stateful RNG), so a stored template would
+        pin one noise sample forever — store none."""
         return self.use_template_cache and not self._read_disturbed()
 
     def _template(
         self,
         key: Hashable,
-        build: "Callable[[], _GraphTemplate]",
+        build: "Callable[[BlockGraph], _GraphTemplate]",
     ) -> _GraphTemplate:
-        """Fetch-or-build a frozen graph template (LRU, per chip)."""
-        if not self._template_cache_active():
-            return build()
+        """Fetch-or-derive the template of ``key`` (LRU, per chip).
+
+        A miss takes the key's structure (:meth:`_structure`) and, on a
+        faulted chip, derives this fault epoch's values onto it
+        (:meth:`_faulted`).  Under read disturb every call derives
+        fresh values and nothing is stored.  With the cache disabled
+        every call builds from scratch, a faulted chip through the
+        reference :class:`~repro.faults.graph.FaultedBlockGraph`.
+        """
+        if not self.use_template_cache:
+            return build(self._new_graph())
+        if self._read_disturbed():
+            return self._faulted(self._structure(key, build))
         cached = self._templates.get(key)
         if cached is not None:
             self._templates.move_to_end(key)
             self._template_hits += 1
             return cached
         self._template_misses += 1
-        template = build()
+        template = self._structure(key, build)
+        if self.fault_state is not None:
+            template = self._faulted(template)
         self._templates[key] = template
         if len(self._templates) > self._template_capacity:
             self._templates.popitem(last=False)
         return template
+
+    def _structure(
+        self,
+        key: Hashable,
+        build: "Callable[[BlockGraph], _GraphTemplate]",
+    ) -> _GraphTemplate:
+        """The healthy template of ``key``, built once per chip.
+
+        Built from a plain :class:`BlockGraph`: topology, fabricated
+        weights and systematic errors, and (compiled on first solve)
+        the level plan.  A fault never changes any of that, so the
+        structure survives :meth:`invalidate_templates` (its own LRU,
+        same capacity).
+        """
+        structure = self._structures.get(key)
+        if structure is None:
+            structure = build(
+                BlockGraph(nonideality=self.nonideality, timing=self.timing)
+            )
+            self._structures[key] = structure
+            if len(self._structures) > self._template_capacity:
+                self._structures.popitem(last=False)
+        else:
+            self._structures.move_to_end(key)
+        return structure
+
+    def _faulted(self, structure: _GraphTemplate) -> _GraphTemplate:
+        """``structure`` carrying the attached fault map's values: each
+        stage weight through its PE site's faults, each comparator
+        threshold shifted by the chip's offset drift."""
+        state = self.fault_state
+        frozen = structure.frozen
+        return dataclasses.replace(
+            structure,
+            frozen=frozen.with_values(
+                state.apply_weights(frozen.stage_weights),
+                state.comparator_offset_v,
+            ),
+        )
 
     def _const_positions(
         self, frozen: FrozenGraph, ids: Sequence[int]
@@ -792,8 +853,7 @@ class DistanceAccelerator:
             tuple(w.tobytes() for w in weight_vectors),
         )
 
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
+        def build(graph: BlockGraph) -> _GraphTemplate:
             slot_ids = [
                 [graph.const(v) for v in self._encode_inputs(arr)]
                 for arr in arrays
@@ -942,8 +1002,7 @@ class DistanceAccelerator:
             w.tobytes(),
         )
 
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
+        def build(graph: BlockGraph) -> _GraphTemplate:
             p_ids = [graph.const(v) for v in pv]
             q_ids = [graph.const(v) for v in qv]
             out = self._build(
@@ -1023,8 +1082,7 @@ class DistanceAccelerator:
             w_seg.tobytes(),
         )
 
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
+        def build(graph: BlockGraph) -> _GraphTemplate:
             p_ids = [graph.const(v) for v in pv]
             q_ids = [graph.const(v) for v in qv]
             if config.name == "hamming":
@@ -1135,8 +1193,7 @@ class DistanceAccelerator:
             w_tile.tobytes(),
         )
 
-        def build() -> _GraphTemplate:
-            graph = self._new_graph()
+        def build(graph: BlockGraph) -> _GraphTemplate:
             p_ids = [graph.const(v) for v in pv]
             q_ids = [graph.const(v) for v in qv]
             cells: Dict[Tuple[int, int], int] = {}
@@ -1315,11 +1372,11 @@ class DistanceAccelerator:
             )
 
             def build(
+                graph: BlockGraph,
                 pv: np.ndarray = pv,
                 qv: np.ndarray = qv,
                 w_tile: np.ndarray = w_tile,
             ) -> _GraphTemplate:
-                graph = self._new_graph()
                 p_ids = [graph.const(v) for v in pv]
                 q_ids = [graph.const(v) for v in qv]
                 minima_ids: List[int] = []

@@ -159,22 +159,9 @@ def transient(
     for name, tap in taps.items():
         waves[name][..., 0] = v[..., tap]
 
-    # Const targets never depend on v: evaluate them once and reuse the
-    # buffer, stepping only the non-const blocks per timestep.  The
-    # const slots carry gain 1 / offset 0, so this is bit-identical to
-    # re-evaluating the full target map every step.
-    t = np.zeros_like(v)
     cv = g.const_values
-    if g.const_ids.size:
-        const_t = cv * g.gain[g.const_ids] + g.offset[g.const_ids]
-        if g.supply_rail is not None:
-            np.clip(
-                const_t, -g.supply_rail, g.supply_rail, out=const_t
-            )
-        t[..., g.const_ids] = const_t
-    ops = g._nonconst_ops()
     for k in range(1, steps + 1):
-        ops.eval_into(v, cv, t)
+        t = g.targets(v, cv)
         v = t + (v - t) * decay
         for name, tap in taps.items():
             waves[name][..., k] = v[..., tap]

@@ -70,11 +70,13 @@ class _Block:
     weights: Tuple[float, ...] = ()
     constant: float = 0.0
     threshold: float = 0.0
+    threshold_error: float = 0.0
     v_high: float = 0.0
     v_low: float = 0.0
     tau: float = 1.0e-9
     gain: float = 1.0
     offset: float = 0.0
+    is_adder: bool = False
     label: str = ""
 
 
@@ -121,6 +123,13 @@ class BlockGraph:
             self._rng.normal(0.0, self.nonideality.offset_sigma)
         )
         return gain, offset
+
+    def _comparator_error(self) -> float:
+        """Systematic threshold error of one comparator; the frozen
+        graph adds it to the nominal threshold."""
+        return float(
+            self._rng.normal(0.0, self.nonideality.comparator_offset_sigma)
+        )
 
     def _weight_error(self, w: float, precision: bool = False) -> float:
         """Apply the post-tuning memristor ratio tolerance to a weight.
@@ -189,6 +198,7 @@ class BlockGraph:
                 tau=tau,
                 gain=gain,
                 offset=offset,
+                is_adder=is_adder,
                 label=label,
             )
         )
@@ -263,16 +273,12 @@ class BlockGraph:
     ) -> int:
         """Selecting module: comparator on ``|V(a)-V(b)|`` vs threshold
         drives two transmission gates (Fig. 2(b))."""
-        thr = float(threshold) + float(
-            self._rng.normal(
-                0.0, self.nonideality.comparator_offset_sigma
-            )
-        )
         return self._add(
             _Block(
                 kind=KIND_MUX,
                 inputs=(a, b, when_close, when_far),
-                threshold=thr,
+                threshold=float(threshold),
+                threshold_error=self._comparator_error(),
                 tau=self.timing.comparator_tau,
                 label=label,
             )
@@ -289,16 +295,12 @@ class BlockGraph:
     ) -> int:
         """HamD PE: ``v_high`` when ``|V(a)-V(b)| > threshold`` else
         ``v_low`` (Eq. (6) semantics)."""
-        thr = float(threshold) + float(
-            self._rng.normal(
-                0.0, self.nonideality.comparator_offset_sigma
-            )
-        )
         return self._add(
             _Block(
                 kind=KIND_GATE,
                 inputs=(a, b),
-                threshold=thr,
+                threshold=float(threshold),
+                threshold_error=self._comparator_error(),
                 v_high=float(v_high),
                 v_low=float(v_low),
                 tau=self.timing.comparator_tau,
@@ -352,8 +354,9 @@ def _gather_edges(
 
 
 # Raw (pre gain/offset) targets of one kind's blocks, from the current
-# voltages ``v``.  Source-index arguments come first.
-def _lin(v, src, w, ptr, const):
+# voltages ``v``.  Index arguments (sources, then a variable-arity
+# kind's ``reduceat`` starts) come first, value arguments after them.
+def _lin(v, src, ptr, w, const):
     return np.add.reduceat(v[..., src] * w, ptr, axis=-1) + const
 
 
@@ -380,186 +383,167 @@ def _gate(v, a, b, thr, high, low):
 
 
 #: Per non-const kind: its kernel, how many leading kernel arguments
-#: are source indices, and which argument holds the ``reduceat``
-#: starts of a variable-arity kind (arguments before it have one entry
-#: per edge, after it one per block; ``None``: all are per block).
+#: are source indices, whether the kind is variable-arity (sources are
+#: an edge list, followed by the ``reduceat`` starts) and how many of
+#: the value arguments after that are per edge (the rest are per
+#: block).
 _KERNELS = {
-    KIND_LIN: (_lin, 1, 2),
-    KIND_ABSDIFF: (_absdiff, 2, None),
-    KIND_MAX: (_maximum, 1, 1),
-    KIND_MIN: (_minimum, 1, 1),
-    KIND_MUX: (_mux, 4, None),
-    KIND_GATE: (_gate, 2, None),
+    KIND_LIN: (_lin, 1, True, 1),
+    KIND_ABSDIFF: (_absdiff, 2, False, 0),
+    KIND_MAX: (_maximum, 1, True, 0),
+    KIND_MIN: (_minimum, 1, True, 0),
+    KIND_MUX: (_mux, 4, False, 0),
+    KIND_GATE: (_gate, 2, False, 0),
 }
 
 
-class _SubsetOps:
-    """Evaluation plan for a subset of a :class:`FrozenGraph`'s blocks.
-
-    Packs the subset's blocks by kind (each kind in ``ids`` order) into
-    its kernel's arguments, so the per-step transient update touches
-    only those blocks.  Source indices still address the full voltage
-    vector; only the *written* positions are subset-local.
-    """
-
-    __slots__ = (
-        "ids",
-        "gain",
-        "offset",
-        "rail",
-        "const_pos",
-        "const_take",
-        "kinds",
-    )
-
-    def __init__(self, frozen: "FrozenGraph", ids: np.ndarray) -> None:
-        self.ids = ids
-        self.gain = frozen.gain[ids]
-        self.offset = frozen.offset[ids]
-        self.rail = frozen.supply_rail
-        kinds = frozen.kind[ids]
-        pos = np.arange(ids.size, dtype=np.intp)
-
-        def members(
-            kind: int, kind_ids: np.ndarray
-        ) -> Tuple[np.ndarray, np.ndarray]:
-            """Subset positions of ``kind``'s blocks and their indices
-            into that kind's packed arrays."""
-            mask = kinds == kind
-            return pos[mask], np.searchsorted(kind_ids, ids[mask])
-
-        f = frozen
-        self.const_pos, self.const_take = members(KIND_CONST, f.const_ids)
-        lin_pos, li = members(KIND_LIN, f.lin_ids)
-        lin_e, lin_ptr = _gather_edges(f.lin_ptr, f.lin_src.size, li)
-        max_pos, xi = members(KIND_MAX, f.max_ids)
-        max_e, max_ptr = _gather_edges(f.max_ptr, f.max_src.size, xi)
-        min_pos, ni = members(KIND_MIN, f.min_ids)
-        min_e, min_ptr = _gather_edges(f.min_ptr, f.min_src.size, ni)
-        abs_pos, ai = members(KIND_ABSDIFF, f.abs_ids)
-        mux_pos, mi = members(KIND_MUX, f.mux_ids)
-        gate_pos, gi = members(KIND_GATE, f.gate_ids)
-        #: kind -> (subset positions, kernel arguments)
-        self.kinds = {
-            KIND_LIN: (
-                lin_pos,
-                (f.lin_src[lin_e], f.lin_w[lin_e], lin_ptr, f.lin_const[li]),
-            ),
-            KIND_ABSDIFF: (
-                abs_pos,
-                (f.abs_a[ai], f.abs_b[ai], f.abs_w[ai]),
-            ),
-            KIND_MAX: (max_pos, (f.max_src[max_e], max_ptr)),
-            KIND_MIN: (min_pos, (f.min_src[min_e], min_ptr)),
-            KIND_MUX: (
-                mux_pos,
-                (
-                    f.mux_a[mi],
-                    f.mux_b[mi],
-                    f.mux_t[mi],
-                    f.mux_f[mi],
-                    f.mux_thr[mi],
-                ),
-            ),
-            KIND_GATE: (
-                gate_pos,
-                (
-                    f.gate_a[gi],
-                    f.gate_b[gi],
-                    f.gate_thr[gi],
-                    f.gate_high[gi],
-                    f.gate_low[gi],
-                ),
-            ),
-        }
-
-    def eval_into(
-        self, v: np.ndarray, const_values: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Write the subset's settled targets into ``out[..., ids]``.
-
-        Reads input voltages from ``v``; batched when
-        ``v``/``const_values`` carry leading axes.
-        """
-        raw = np.zeros(v.shape[:-1] + (self.ids.size,))
-        if self.const_pos.size:
-            raw[..., self.const_pos] = const_values[..., self.const_take]
-        for kind, (pos, args) in self.kinds.items():
-            if pos.size:
-                raw[..., pos] = _KERNELS[kind][0](v, *args)
-        raw = raw * self.gain + self.offset
-        if self.rail is not None:
-            np.clip(raw, -self.rail, self.rail, out=raw)
-        out[..., self.ids] = raw
+def _kind_args(f: "FrozenGraph") -> Dict[int, tuple]:
+    """Each non-const kind's packed kernel arguments, in id order."""
+    return {
+        KIND_LIN: (f.lin_src, f.lin_ptr, f.lin_w, f.lin_const),
+        KIND_ABSDIFF: (f.abs_a, f.abs_b, f.abs_w),
+        KIND_MAX: (f.max_src, f.max_ptr),
+        KIND_MIN: (f.min_src, f.min_ptr),
+        KIND_MUX: (f.mux_a, f.mux_b, f.mux_t, f.mux_f, f.mux_thr),
+        KIND_GATE: (
+            f.gate_a, f.gate_b, f.gate_thr, f.gate_high, f.gate_low
+        ),
+    }
 
 
-class _LevelProgram:
-    """:meth:`FrozenGraph.solve` compiled into one slice-addressed pass.
+class _LevelPlan:
+    """The index half of a :class:`_LevelProgram`.
 
     Blocks are renumbered by ``(depth, kind)`` — a stable sort, so each
     kind keeps id order inside its level — which makes every level, and
     every kind's run inside a level, a contiguous slice of the working
     voltage vector.  The consts come first, in id order: exactly the
-    bound ``const_values``.  Each run writes its raw targets straight
-    into its slice; the level then applies gain, offset and the rail
-    clip in place.  Sources are renumbered too, and :attr:`rank` maps
-    the result back to block order.
+    bound ``const_values``.  Sources are renumbered too, and
+    :attr:`rank` maps the result back to block order.
+
+    Everything here depends on topology alone, so one plan serves every
+    value sibling of a graph (:meth:`FrozenGraph.with_values`): each
+    kind's gather into program order (``gathers``: block positions and,
+    for variable-arity kinds, edge positions) and each run's kernel,
+    output slice and renumbered index arguments.
     """
 
-    __slots__ = ("levels", "rank", "n_const", "rail")
+    __slots__ = ("order", "rank", "n_const", "gathers", "levels")
 
     def __init__(self, frozen: "FrozenGraph") -> None:
         order = np.lexsort((frozen.kind, frozen.depth))
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size, dtype=np.intp)
+        self.order = order
         self.rank = rank
         self.n_const = frozen.const_ids.size
-        self.rail = frozen.supply_rail
-        # Every block packed by kind in program order (one CSR gather
-        # per kind), so each (level, kind) run is a consecutive range
-        # of its kind's arguments.
-        ops = _SubsetOps(frozen, order)
-        packed = {
-            k: tuple(
-                rank[x] if i < _KERNELS[k][1] else x
-                for i, x in enumerate(args)
-            )
-            for k, (_, args) in ops.kinds.items()
-        }
-
-        def run_args(k: int, c0: int, c1: int) -> tuple:
-            args, ptr_at = packed[k], _KERNELS[k][2]
-            if ptr_at is None:
-                return tuple(x[c0:c1] for x in args)
-            ptr = args[ptr_at]
-            e0 = int(ptr[c0])
-            e1 = int(ptr[c1]) if c1 < ptr.size else args[0].size
-            return (
-                *(x[e0:e1] for x in args[:ptr_at]),
-                ptr[c0:c1] - e0,
-                *(x[c0:c1] for x in args[ptr_at + 1 :]),
-            )
-
         kind = frozen.kind[order]
         depth = frozen.depth[order]
+        # Every kind's blocks in program order (one CSR gather per
+        # variable-arity kind), so each (level, kind) run is a
+        # consecutive range of its kind's arguments.
+        self.gathers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        index: Dict[int, tuple] = {}
+        for k, args in _kind_args(frozen).items():
+            _, n_src, ragged, _ = _KERNELS[k]
+            take = np.searchsorted(
+                np.flatnonzero(frozen.kind == k), order[kind == k]
+            )
+            if ragged:
+                edges, ptr = _gather_edges(
+                    args[n_src], args[0].size, take
+                )
+                index[k] = (*(rank[x[edges]] for x in args[:n_src]), ptr)
+            else:
+                edges = take
+                index[k] = tuple(rank[x[take]] for x in args[:n_src])
+            self.gathers[k] = (take, edges)
+
         starts = np.flatnonzero(
             np.diff(kind, prepend=-1) | np.diff(depth, prepend=-1)
         ).tolist()
         cursor = dict.fromkeys(_KERNELS, 0)
+        #: ``(lo, hi, runs)`` per level; a run is ``(kernel, a, b,
+        #: kind, index args, block slice, edge slice)``.
         self.levels: List[tuple] = []
         runs: list = []
         lo = 0
         for a, b in zip(starts, starts[1:] + [order.size]):
             k = int(kind[a])
             if k != KIND_CONST:
+                kernel, n_src, ragged, _ = _KERNELS[k]
                 c0 = cursor[k]
                 cursor[k] = c1 = c0 + b - a
-                runs.append((_KERNELS[k][0], a, b, run_args(k, c0, c1)))
+                blocks = slice(c0, c1)
+                idx = index[k]
+                if ragged:
+                    ptr = idx[n_src]
+                    e0 = int(ptr[c0])
+                    e1 = int(ptr[c1]) if c1 < ptr.size else idx[0].size
+                    edges = slice(e0, e1)
+                    idx = (
+                        *(x[edges] for x in idx[:n_src]),
+                        ptr[blocks] - e0,
+                    )
+                else:
+                    edges = blocks
+                    idx = tuple(x[blocks] for x in idx)
+                runs.append((kernel, a, b, k, idx, blocks, edges))
             if b == order.size or depth[b] != depth[a]:
-                self.levels.append(
-                    (lo, b, ops.gain[lo:b], ops.offset[lo:b], runs)
-                )
+                self.levels.append((lo, b, runs))
                 lo, runs = b, []
+
+
+class _LevelProgram:
+    """:meth:`FrozenGraph.solve` compiled into one slice-addressed pass.
+
+    The graph's :class:`_LevelPlan` (shared with its value siblings)
+    fixes the block order and every run's index arguments; this adds
+    the graph's own values — each run's weights, constants and
+    thresholds, and each level's gain and offset — as slices of its
+    value arrays gathered once into program order.  Each run writes
+    its raw targets straight into its slice; the level then applies
+    gain, offset and the rail clip in place.
+    """
+
+    __slots__ = ("levels", "rank", "n_const", "rail")
+
+    def __init__(self, frozen: "FrozenGraph") -> None:
+        plan = frozen._plan()
+        self.rank = plan.rank
+        self.n_const = plan.n_const
+        self.rail = frozen.supply_rail
+        values: Dict[int, Tuple[tuple, tuple]] = {}
+        for k, args in _kind_args(frozen).items():
+            _, n_src, ragged, n_edge = _KERNELS[k]
+            take, edges = plan.gathers[k]
+            vals = args[n_src + ragged :]
+            values[k] = (
+                tuple(x[edges] for x in vals[:n_edge]),
+                tuple(x[take] for x in vals[n_edge:]),
+            )
+        gain = frozen.gain[plan.order]
+        offset = frozen.offset[plan.order]
+        self.levels = [
+            (
+                lo,
+                hi,
+                gain[lo:hi],
+                offset[lo:hi],
+                [
+                    (
+                        kernel,
+                        a,
+                        b,
+                        idx
+                        + tuple(x[edges] for x in values[k][0])
+                        + tuple(x[blocks] for x in values[k][1]),
+                    )
+                    for kernel, a, b, k, idx, blocks, edges in runs
+                ],
+            )
+            for lo, hi, runs in plan.levels
+        ]
 
     def run(self, cv: np.ndarray) -> np.ndarray:
         """Settled voltages, in block order, for source values ``cv``
@@ -592,7 +576,9 @@ class FrozenGraph:
     rebinds ``const_values`` without repacking, which is what the
     accelerator's graph-template cache builds on; a bound view with a
     ``(batch, n_const)`` matrix solves every row in one vectorized
-    pass.
+    pass.  :meth:`with_values` derives a sibling with other stage
+    weights and comparator thresholds on the same structure, which is
+    how a faulted chip re-derives its templates on each fault epoch.
     """
 
     def __init__(self, graph: BlockGraph) -> None:
@@ -601,6 +587,8 @@ class FrozenGraph:
         self.n_blocks = n
         self.outputs = dict(graph._outputs)
         self.labels = [b.label for b in blocks]
+        self.nonideality = graph.nonideality
+        self.timing = graph.timing
         self.supply_rail = graph.nonideality.supply_rail
 
         def column(
@@ -628,29 +616,20 @@ class FrozenGraph:
         self.in_src, self.in_ptr = flatten(inputs, np.intp)
         w_flat, w_ptr = flatten([b.weights for b in blocks], np.float64)
 
-        # One pass for topological depth and the critical-path settling
-        # budget — the sum of taus along the slowest input chain of
-        # each block.  Cascaded first-order stages settle in roughly
-        # ln(1/tol) times that, which sizes the transient window
-        # without trial and error.
-        critical: List[float] = []
+        # Topological depth per block (0 = sources); the levelized
+        # solver settles the graph in exactly ``n_levels`` passes.
         depth: List[int] = []
-        critical_of, depth_of = critical.__getitem__, depth.__getitem__
-        for b, ins in zip(blocks, inputs):
-            if ins:
-                critical.append(b.tau + max(map(critical_of, ins)))
-                depth.append(1 + max(map(depth_of, ins)))
-            else:
-                critical.append(b.tau + 0.0)
-                depth.append(0)
-        self.critical_tau = np.array(critical)
-        #: Topological depth per block (0 = sources); the levelized
-        #: solver settles the graph in exactly ``n_levels`` passes.
+        depth_of = depth.__getitem__
+        for ins in inputs:
+            depth.append(1 + max(map(depth_of, ins)) if ins else 0)
         self.depth = np.array(depth, dtype=np.intp)
         self.n_levels = int(self.depth.max()) + 1 if n else 0
-        # Lazily compiled solve plans, shared (by reference) with every
-        # bound view so rebinding const_values never repacks edges.
-        self._ops_cache: Dict[str, object] = {}
+        # Lazily built plans.  The structure cache (level plan, lin
+        # fan-in groups) is shared by every bind view and value
+        # sibling; the value cache (compiled program, critical-path
+        # taus) by the bind views of one set of values only.
+        self._structure_cache: Dict[str, object] = {}
+        self._value_cache: Dict[str, object] = {}
 
         def ids_of(k: int) -> np.ndarray:
             return np.flatnonzero(self.kind == k)
@@ -668,13 +647,18 @@ class FrozenGraph:
         self.const_ids = ids_of(KIND_CONST)
         self.const_values = column("constant", self.const_ids)
 
+        # Every memristor-ratio weight in stage order — each lin term,
+        # then each absdiff stage, by block id — which is the order a
+        # fault-aware builder assigns PE sites in.
+        self.stage_weights = w_flat
+
         # lin / max / min: flat edge arrays + reduce offsets
         self.lin_ids = ids_of(KIND_LIN)
         self.lin_src, self.lin_ptr = edges_of(self.lin_ids)
-        self.lin_w = w_flat[
-            _gather_edges(w_ptr, w_flat.size, self.lin_ids)[0]
-        ]
+        self._lin_stage = _gather_edges(w_ptr, w_flat.size, self.lin_ids)[0]
+        self.lin_w = w_flat[self._lin_stage]
         self.lin_const = column("constant", self.lin_ids)
+        self.lin_adder = column("is_adder", self.lin_ids, dtype=bool)
         self.max_ids = ids_of(KIND_MAX)
         self.max_src, self.max_ptr = edges_of(self.max_ids)
         self.min_ids = ids_of(KIND_MIN)
@@ -682,17 +666,29 @@ class FrozenGraph:
 
         self.abs_ids = ids_of(KIND_ABSDIFF)
         self.abs_a, self.abs_b = first_inputs(self.abs_ids, 2)
-        self.abs_w = w_flat[w_ptr[self.abs_ids]]
+        self._abs_stage = w_ptr[self.abs_ids]
+        self.abs_w = w_flat[self._abs_stage]
 
+        # Comparator thresholds: nominal value plus the comparator's
+        # systematic error, kept apart so a sibling can shift the
+        # nominal value (see with_values).
         self.mux_ids = ids_of(KIND_MUX)
         self.mux_a, self.mux_b, self.mux_t, self.mux_f = first_inputs(
             self.mux_ids, 4
         )
-        self.mux_thr = column("threshold", self.mux_ids)
+        self._mux_thr = (
+            column("threshold", self.mux_ids),
+            column("threshold_error", self.mux_ids),
+        )
+        self.mux_thr = self._mux_thr[0] + self._mux_thr[1]
 
         self.gate_ids = ids_of(KIND_GATE)
         self.gate_a, self.gate_b = first_inputs(self.gate_ids, 2)
-        self.gate_thr = column("threshold", self.gate_ids)
+        self._gate_thr = (
+            column("threshold", self.gate_ids),
+            column("threshold_error", self.gate_ids),
+        )
+        self.gate_thr = self._gate_thr[0] + self._gate_thr[1]
         self.gate_high = column("v_high", self.gate_ids)
         self.gate_low = column("v_low", self.gate_ids)
 
@@ -723,7 +719,7 @@ class FrozenGraph:
 
         ``const_values`` replaces the packed const-block values (last
         axis must match; leading axes batch the solve).  The packed
-        structure — including the lazily-built levelized plans — is
+        structure — including the lazily compiled level program — is
         shared by reference, so rebinding is O(1): this is the template
         re-use primitive behind the accelerator's graph cache.
         """
@@ -737,21 +733,116 @@ class FrozenGraph:
         bound.const_values = cv
         return bound
 
+    def _plan(self) -> _LevelPlan:
+        plan = self._structure_cache.get("plan")
+        if plan is None:
+            plan = _LevelPlan(self)
+            self._structure_cache["plan"] = plan
+        return plan  # type: ignore[return-value]
+
     def _program(self) -> _LevelProgram:
-        program = self._ops_cache.get("program")
+        program = self._value_cache.get("program")
         if program is None:
             program = _LevelProgram(self)
-            self._ops_cache["program"] = program
+            self._value_cache["program"] = program
         return program  # type: ignore[return-value]
 
-    def _nonconst_ops(self) -> "_SubsetOps":
-        ops = self._ops_cache.get("nonconst")
-        if ops is None:
-            ops = _SubsetOps(
-                self, np.flatnonzero(self.kind != KIND_CONST)
+    @property
+    def critical_tau(self) -> np.ndarray:
+        """Critical-path settling budget per block: the sum of taus
+        along its slowest input chain.
+
+        Cascaded first-order stages settle in roughly ``ln(1/tol)``
+        times that, which sizes the transient window without trial and
+        error.  Computed on first use, one depth level at a time.
+        """
+        critical = self._value_cache.get("critical")
+        if critical is None:
+            plan = self._plan()
+            critical = self.tau + 0.0
+            for lo, hi, _ in plan.levels[1:]:
+                ids = plan.order[lo:hi]
+                edges, starts = _gather_edges(
+                    self.in_ptr, self.in_src.size, ids
+                )
+                critical[ids] = self.tau[ids] + np.maximum.reduceat(
+                    critical[self.in_src[edges]], starts
+                )
+            self._value_cache["critical"] = critical
+        return critical  # type: ignore[return-value]
+
+    def _lin_fan_in(self) -> Tuple[np.ndarray, list]:
+        """Each lin block's fan-in, and the lin blocks grouped by it:
+        ``(rows, edges)`` with ``edges[r]`` the edge positions of the
+        group's ``r``-th block."""
+        groups = self._structure_cache.get("fan_in")
+        if groups is None:
+            fan_in = np.diff(self.lin_ptr, append=self.lin_src.size)
+            by_fan_in = []
+            for f in np.unique(fan_in).tolist():
+                rows = np.flatnonzero(fan_in == f)
+                by_fan_in.append(
+                    (rows, self.lin_ptr[rows][:, None] + np.arange(f))
+                )
+            groups = (fan_in, by_fan_in)
+            self._structure_cache["fan_in"] = groups
+        return groups  # type: ignore[return-value]
+
+    def with_values(
+        self, stage_weights: np.ndarray, threshold_shift: float = 0.0
+    ) -> "FrozenGraph":
+        """A sibling graph with new stage weights and shifted thresholds.
+
+        ``stage_weights`` replaces :attr:`stage_weights` (one entry per
+        weighted stage, in stage order) and ``threshold_shift`` adds to
+        every comparator's nominal threshold.  Everything that depends
+        on them is re-derived as vectors, in the builder's arithmetic:
+        each lin block's noise gain ``1 + sum |w|`` (summed per row of
+        a fan-in group, which reduces each row exactly as the builder's
+        ``np.sum`` over that block's weights does), its closed-loop
+        gain and its tau, and each threshold as ``(nominal + shift) +
+        error``.  So a sibling holds the same bits as a graph built
+        with those weights and offsets, e.g. by
+        :class:`repro.faults.graph.FaultedBlockGraph`.
+
+        The sibling shares every structural array with this graph, as
+        well as the level plan; it compiles only its value slices.
+        """
+        w = np.asarray(stage_weights, dtype=np.float64)
+        if w.shape != self.stage_weights.shape:
+            raise ConfigurationError(
+                f"stage_weights must have shape {self.stage_weights.shape}"
+                f"; got {w.shape}"
             )
-            self._ops_cache["nonconst"] = ops
-        return ops  # type: ignore[return-value]
+        sibling = copy.copy(self)
+        sibling._value_cache = {}
+        sibling.stage_weights = w
+        sibling.lin_w = w[self._lin_stage]
+        sibling.abs_w = w[self._abs_stage]
+        if self.lin_ids.size:
+            fan_in, groups = self._lin_fan_in()
+            noise_gain = np.empty(self.lin_ids.size)
+            for rows, edges in groups:
+                noise_gain[rows] = np.sum(
+                    np.abs(sibling.lin_w[edges]), axis=1
+                )
+            noise_gain = 1.0 + noise_gain
+            tau = self.timing.opamp_tau(noise_gain)
+            adders = self.lin_adder
+            tau[adders] = self.timing.adder_tau(
+                fan_in[adders], noise_gain[adders]
+            )
+            sibling.gain = self.gain.copy()
+            sibling.gain[self.lin_ids] = self.nonideality.gain_factor(
+                noise_gain
+            )
+            sibling.tau = self.tau.copy()
+            sibling.tau[self.lin_ids] = tau
+        nominal, error = self._mux_thr
+        sibling.mux_thr = (nominal + threshold_shift) + error
+        nominal, error = self._gate_thr
+        sibling.gate_thr = (nominal + threshold_shift) + error
+        return sibling
 
     def solve(self, const_values: Optional[np.ndarray] = None) -> np.ndarray:
         """Settled voltages via one levelized pass per depth level.

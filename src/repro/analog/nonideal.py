@@ -126,10 +126,14 @@ class TimingModel:
         )
 
     def adder_tau(self, fan_in: int, noise_gain: Optional[float] = None) -> float:
+        """Summing-stage tau; elementwise over arrays of ``fan_in`` and
+        ``noise_gain`` too (as is :meth:`opamp_tau`)."""
         if noise_gain is None:
             noise_gain = 1.0 + fan_in
         bandwidth_term = noise_gain / (2.0 * np.pi * self.gbw_hz)
-        network_term = self.r_network * self.c_parasitic * max(fan_in, 1)
+        network_term = (
+            self.r_network * self.c_parasitic * np.maximum(fan_in, 1)
+        )
         return bandwidth_term + network_term
 
     def diode_tau(self, fan_in: int) -> float:

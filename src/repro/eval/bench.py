@@ -3,7 +3,7 @@
 Times the vectorized execution engine (levelized settles + graph
 template cache + batched solves) against the seed engine's behaviour
 (Jacobi sweeps, graph rebuilt per settle) on three representative
-workloads and one cold-template case, plus one batched-versus-sequential
+workloads and two cold-template cases, plus one batched-versus-sequential
 case:
 
 * ``single_dtw`` — repeated DTW n=40 ``compute`` on the paper's
@@ -17,10 +17,14 @@ case:
   against 32 sequential ``compute`` calls on the same warm chip (the
   pool's coalesced-settle primitive; here the baseline is the default
   engine one query at a time, not the seed engine);
-* ``cold_dtw`` — the first DTW n=40 ``compute`` after
-  ``invalidate_templates()``: graph build, freeze, level-program
-  compile and solve, the cost every fault-epoch bump (inject,
-  recalibrate, replace) makes a chip pay again.
+* ``cold_dtw`` — the first DTW n=40 ``compute`` on a fresh chip:
+  graph build, freeze, level-program compile and solve, the cost a
+  new chip (a replaced shard) pays once per template;
+* ``refault_dtw`` — the first DTW n=40 ``compute`` on a faulted chip
+  after ``invalidate_templates()``: the fault-epoch bump every inject
+  and recalibration causes, which re-derives the template's values on
+  the kept graph structure, against the seed engine on a chip with the
+  same fault map (stage-by-stage faulted rebuild + Jacobi sweeps).
 
 Every case checks bit-identical values between the two engines before
 timing — a benchmark of a wrong answer is worse than no benchmark.
@@ -38,18 +42,32 @@ import numpy as np
 
 from ..accelerator import DistanceAccelerator
 from ..accelerator.params import PAPER_PARAMS
+from ..faults import DriftFault, FaultInjector, LostPairFault
 
 #: Acceptance floors: warm-cache single compute and the batched settle
 #: must beat the seed engine by at least this much, and a coalesced
 #: ``compute_many`` must beat the same chip's sequential loop.  A cold
 #: compute spends most of its time building the graph, which both
 #: engines do, so its floor only bounds how far it may fall behind.
+#: A fault-epoch bump skips that build and only re-derives values, so
+#: ``refault_dtw`` must stay far ahead of a faulted rebuild (its floor
+#: is under a third of the 35-40x a 2-vCPU host measures).
 SPEEDUP_FLOOR = {
     "single_dtw": 5.0,
     "batch_manhattan": 3.0,
     "batch_dtw": 3.0,
     "cold_dtw": 0.6,
+    "refault_dtw": 10.0,
 }
+
+#: Fault map of the ``refault_dtw`` chips: ageing drift on every site
+#: plus a few lost pairs — damage that moves every stage weight but
+#: keeps the distance inside the ADC range, so the equivalence check
+#: compares real values rather than two saturated readings.
+REFAULT_SCENARIO = (
+    DriftFault(rate=1.0, age_s=3.0e7, scale_per_decade=0.003),
+    LostPairFault(rate=0.02),
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,7 +198,7 @@ def run_engine_bench(
     repeats: Optional[int] = None,
     seed: int = 0,
 ) -> BenchReport:
-    """Run the five-case engine benchmark.
+    """Run the six-case engine benchmark.
 
     ``smoke`` keeps the repeat count minimal for CI; ``repeats``
     overrides it.  The baseline accelerators disable the template
@@ -270,18 +288,40 @@ def run_engine_bench(
         )
     )
 
-    # 5. Cold DTW n=40: every timed call rebuilds, freezes, compiles
-    #    and solves the template, against the seed engine's rebuild +
-    #    Jacobi sweeps.
-    def cold_compute() -> float:
-        fast_chip.invalidate_templates()
-        return fast_chip.compute("dtw", p40, q40).value
-
+    # 5. Cold DTW n=40: every timed call builds, freezes, compiles
+    #    and solves the template on a fresh chip, against the seed
+    #    engine's rebuild + Jacobi sweeps.
     cases.append(
         _time_case(
             "cold_dtw",
-            cold_compute,
+            lambda: DistanceAccelerator(validate=False)
+            .compute("dtw", p40, q40)
+            .value,
             lambda: seed_chip.compute("dtw", p40, q40).value,
+            repeats,
+        )
+    )
+
+    # 6. Refault DTW n=40: every timed call bumps a faulted chip's
+    #    fault epoch and re-derives the template's values, against
+    #    the seed engine's faulted rebuild + Jacobi sweeps.
+    injector = FaultInjector(REFAULT_SCENARIO, seed=seed)
+    faulted_chip = DistanceAccelerator()
+    faulted_seed = DistanceAccelerator(
+        use_template_cache=False, solver="jacobi"
+    )
+    for chip in (faulted_chip, faulted_seed):
+        injector.inject(chip)
+
+    def refault_compute() -> float:
+        faulted_chip.invalidate_templates()
+        return faulted_chip.compute("dtw", p40, q40).value
+
+    cases.append(
+        _time_case(
+            "refault_dtw",
+            refault_compute,
+            lambda: faulted_seed.compute("dtw", p40, q40).value,
             repeats,
         )
     )

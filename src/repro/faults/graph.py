@@ -1,4 +1,4 @@
-"""Fault-aware analog block graph.
+"""Fault-aware analog block graph — the reference fault model.
 
 :class:`FaultedBlockGraph` is a drop-in :class:`~repro.analog.BlockGraph`
 that consults a :class:`~repro.faults.state.FaultState` while building:
@@ -9,20 +9,15 @@ picks up the chip's offset drift.  The graph stays electrically
 well-formed — which is exactly why the static ERC layer cannot see
 runtime faults and the online BIST of :mod:`repro.faults.bist` exists.
 
-Interaction with the graph-template cache
------------------------------------------
-Two identical build sequences on the same fault map produce
-bit-identical graphs (site assignment is a deterministic round-robin
-restarting per build), so frozen faulted graphs are cacheable — *as
-long as the fault map does not change between builds*.  The
-accelerator therefore bumps a fault epoch and drops its templates on
-``inject_faults``/``clear_faults``/recalibration; anything mutating a
-:class:`FaultState` in place outside those paths must call
-``DistanceAccelerator.invalidate_templates`` itself.  The one
-exception to determinism is time-varying read disturb
-(``read_disturb_sigma > 0``), which draws from a *stateful* RNG per
-build — :attr:`FaultedBlockGraph.deterministic_build` is then False
-and the accelerator bypasses the cache entirely.
+Faults only change stage values, never topology, so the accelerator's
+template path does not build this graph: it keeps the healthy graph's
+structure and re-derives the faulted values as vectors
+(:meth:`repro.analog.FrozenGraph.with_values` with
+:meth:`FaultState.apply_weights`).  This class is the stage-by-stage
+reference those derived values are tested against, and what a chip
+built with ``use_template_cache=False`` runs.  Under time-varying read
+disturb each build draws fresh noise from the state's stateful RNG,
+one draw per weighted stage in stage order — as each derivation does.
 """
 
 from __future__ import annotations
@@ -43,17 +38,6 @@ class FaultedBlockGraph(BlockGraph):
         super().__init__(nonideality=nonideality, timing=timing)
         self.fault_state = fault_state
         self._stage_counter = 0
-
-    @property
-    def deterministic_build(self) -> bool:
-        """True when rebuilding this graph yields bit-identical blocks.
-
-        Only time-varying read disturb breaks build determinism (its
-        noise stream is stateful across builds); everything else in
-        the fault model is a pure function of the fault map.
-        Cacheability gate for frozen templates.
-        """
-        return self.fault_state.read_disturb_sigma == 0.0
 
     def _weight_error(self, w: float, precision: bool = False) -> float:
         """Fabrication tolerance first, then this site's runtime faults."""

@@ -4,12 +4,22 @@ A :class:`FaultState` is the *hardware truth* of one degraded chip: a
 map over its physical PE sites (one site per gain-setting memristor
 ratio, ``array_rows * array_cols`` of them) recording which sites are
 stuck, drifted or mismatched, plus chip-level converter/comparator
-offsets and a read-disturb noise magnitude.  The behavioural simulator
-consults it through :class:`repro.faults.graph.FaultedBlockGraph`:
-every weighted analog stage built for a computation is assigned the
-next *enabled* physical site (deterministic for a given computation
-shape, as on a real chip where the controller's PE mapping is fixed),
-and the site's faults perturb the stage's memristor-ratio weight.
+offsets and a read-disturb noise magnitude.
+
+A fault changes memristor ratios, never the circuit topology
+(Section 3.3).  So the behavioural simulator applies the state to the
+*values* of a chip's graphs: the ``k``-th weighted analog stage of a
+computation is assigned the ``k``-th *enabled* physical site,
+round-robin (deterministic for a given computation shape, as on a
+real chip where the controller's PE mapping is fixed), and the site's
+faults perturb that stage's memristor-ratio weight
+(:meth:`FaultState.apply_weights`, one vector per graph); every
+comparator threshold picks up the chip's offset drift.  The
+accelerator re-derives these values whenever the fault map changes
+(see :meth:`repro.accelerator.DistanceAccelerator.invalidate_templates`);
+:class:`repro.faults.graph.FaultedBlockGraph` applies the same state
+stage by stage while building, and is the reference the vectorized
+path is tested against.
 
 Repair (:mod:`repro.faults.repair`) mutates the same state: re-tuned
 sites have their drift/mismatch trimmed to the tuning residual, and
@@ -194,6 +204,48 @@ class FaultState:
                 )
             )
         return w
+
+    def apply_weights(self, weights: np.ndarray) -> np.ndarray:
+        """:meth:`apply_weight` over stages ``0 .. len(weights) - 1``.
+
+        Vectorized with the scalar path's arithmetic, so every entry
+        holds the same bits; under read disturb the noise is drawn in
+        stage order, one draw per stage, exactly as the scalar calls
+        would draw it.
+        """
+        w = np.asarray(weights, dtype=np.float64)
+        n = w.size
+        if n == 0:
+            return w.copy()
+        if self._enabled.size == 0:
+            raise FaultInjectionError(
+                "every PE site is disabled; the chip has no capacity "
+                "left (replace the shard)"
+            )
+        sites = self._enabled[np.arange(n) % self._enabled.size]
+        out = w * (self.drift[sites] * self.mismatch[sites])
+        code = self.stuck[sites]
+        stuck = code != STUCK_NONE
+        if stuck.any():
+            r_ref = math.sqrt(self.device.r_on * self.device.r_off)
+            pinned = np.where(
+                code[stuck] == STUCK_RON,
+                self.device.r_on,
+                self.device.r_off,
+            )
+            magnitude = r_ref / pinned
+            ws = w[stuck]
+            out[stuck] = np.where(
+                ws != 0.0, np.copysign(magnitude, ws), magnitude
+            )
+        if self.read_disturb_sigma > 0.0:
+            out = out * (
+                1.0
+                + self._read_rng.normal(
+                    0.0, self.read_disturb_sigma, size=n
+                )
+            )
+        return out
 
     # -- mutation ----------------------------------------------------------
     def disable_site(self, site: int) -> None:
