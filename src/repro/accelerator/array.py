@@ -26,6 +26,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -64,7 +65,7 @@ from .pe import (
     build_lcs_graph,
     build_manhattan_graph,
 )
-from .tiling import plan_matrix_tiles, plan_row_segments
+from .tiling import Tile, plan_matrix_tiles, plan_row_segments
 
 
 @dataclasses.dataclass
@@ -86,8 +87,6 @@ class AcceleratorResult:
         ``None`` unless ``measure_time=True``.
     conversion_time_s:
         DAC load + ADC read latency.
-    total_time_s:
-        ``convergence + conversion`` when timing was measured.
     tiles:
         Number of array passes (1 = fits the array).
     overflow:
@@ -103,10 +102,16 @@ class AcceleratorResult:
     adc_voltage: float
     convergence_time_s: Optional[float]
     conversion_time_s: float
-    total_time_s: Optional[float]
     tiles: int
     overflow: bool
     n_blocks: int
+
+    @property
+    def total_time_s(self) -> Optional[float]:
+        """``convergence + conversion`` when timing was measured."""
+        if self.convergence_time_s is None:
+            return None
+        return self.convergence_time_s + self.conversion_time_s
 
 
 @dataclasses.dataclass
@@ -117,17 +122,42 @@ class _GraphTemplate:
     ``"in{k}"`` for batched settles) to positions in the frozen
     graph's ``const_values`` array; a query copies ``base_const``,
     writes its encoded voltages into those positions and solves the
-    rebound view — no Python graph rebuild, no repacking.
+    rebound view — no Python graph rebuild, no repacking.  ``out`` is
+    the output tap (an index array for a multi-row batch graph): it is
+    checked for overflow and read by the ADC unless ``reads`` names
+    other taps (a Hausdorff tile's column minima).
     """
 
     frozen: FrozenGraph
     n_blocks: int
     base_const: np.ndarray
     slots: Dict[str, np.ndarray]
-    out: int = -1
-    outs: Optional[np.ndarray] = None
-    cells: Optional[Dict[Tuple[int, int], int]] = None
-    minima: Optional[List[int]] = None
+    out: Union[int, np.ndarray]
+    reads: Optional[List[int]] = None
+    #: A DP tile's bottom-row and right-column cell taps.
+    edges: Optional[Tuple[List[int], List[int]]] = None
+
+    @classmethod
+    def freeze(
+        cls,
+        graph: BlockGraph,
+        slots: Dict[str, Sequence[int]],
+        **taps,
+    ) -> "_GraphTemplate":
+        """Freeze ``graph``; ``slots`` maps input names to const ids."""
+        frozen = graph.freeze()
+        return cls(
+            frozen=frozen,
+            n_blocks=len(graph),
+            base_const=frozen.const_values.copy(),
+            slots={
+                name: np.searchsorted(
+                    frozen.const_ids, np.asarray(ids, dtype=np.intp)
+                )
+                for name, ids in slots.items()
+            },
+            **taps,
+        )
 
     def bind(self, updates: Dict[str, np.ndarray]) -> FrozenGraph:
         """Frozen view with ``updates`` written into the input slots.
@@ -349,12 +379,6 @@ class DistanceAccelerator:
         state = self.fault_state
         return state is not None and state.read_disturb_sigma > 0.0
 
-    def _fault_adc_offset(self) -> float:
-        """Additive ADC-reference offset of the attached fault map."""
-        if self.fault_state is None:
-            return 0.0
-        return self.fault_state.adc_offset_v
-
     # -- helpers -----------------------------------------------------------
     def _new_graph(self) -> BlockGraph:
         if self.fault_state is not None:
@@ -375,53 +399,72 @@ class DistanceAccelerator:
             volts = self.dac.convert(volts)
         return volts
 
-    def _requantise(self, voltage: float) -> float:
-        """Model a value crossing the ADC -> DAC boundary (tiling).
+    def _adc(self, volts: np.ndarray) -> np.ndarray:
+        """ADC samples of ``volts``, the fault map's reference offset
+        added (the volts themselves when quantisation is disabled)."""
+        if not self.quantise_io:
+            return volts
+        offset = 0.0
+        if self.fault_state is not None:
+            offset = self.fault_state.adc_offset_v
+        return self.adc.convert(volts + offset)
+
+    def _read_out(
+        self, template: _GraphTemplate, voltages: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(raw, adc, overflow)`` of one settle of ``template``.
+
+        ``raw`` is the output tap ``voltages[..., out]``, ``adc`` the
+        ADC samples of the taps the ADC reads and ``overflow`` the
+        :meth:`_overflowed` flag.  ``voltages`` is one settle's 1-D
+        vector or a ``(batch, n_blocks)`` stack, each row read alike.
+        """
+        raw = voltages[..., template.out]
+        reads = raw if template.reads is None else voltages[
+            ..., template.reads
+        ]
+        return raw, self._adc(reads), self._overflowed(voltages, raw)
+
+    def _requantise(self, volts: np.ndarray) -> np.ndarray:
+        """Model values crossing the ADC -> DAC boundary (tiling).
 
         Boundary cells sitting at the infinity rail are wired to the
         rail by the control module rather than converted (the ADC's
         full scale is far below the supply), so they pass through.
         """
         if not self.quantise_io:
-            return voltage
-        if voltage >= self.params.infinity_rail * 0.99:
-            return voltage
-        sampled = float(
-            self.adc.convert([voltage + self._fault_adc_offset()])[0]
+            return volts
+        sampled = self._adc(volts)
+        resampled = np.where(
+            np.abs(sampled) <= self.dac.spec.full_scale,
+            self.dac.convert(sampled),
+            sampled,
         )
-        return float(self.dac.convert([sampled])[0]) if abs(
-            sampled
-        ) <= self.dac.spec.full_scale else sampled
+        return np.where(
+            volts >= self.params.infinity_rail * 0.99, volts, resampled
+        )
 
     def _decode(self, config: FunctionConfig, voltage: float) -> float:
         if config.decode == "steps":
             return self.params.decode_steps(voltage)
         return self.params.decode(voltage)
 
-    def _adc_read(self, voltage: float) -> float:
-        if not self.quantise_io:
-            return voltage
-        return float(
-            self.adc.convert([voltage + self._fault_adc_offset()])[0]
-        )
-
-    def _overflowed(self, voltages: np.ndarray, raw) -> bool:
+    def _overflowed(self, voltages: np.ndarray, raw) -> np.ndarray:
         """True when the ADC clipped or any internal node ran into a
         supply rail — either rail: subtractor chains can be driven
         *below* the negative rail just as adders saturate the positive
-        one, and both invalidate the settled value.  ``raw`` may be a
-        scalar tap or an array of candidate taps.
+        one, and both invalidate the settled value.  ``raw`` holds the
+        output tap(s) of each settle row: a scalar (or one per row of a
+        ``(batch, n_blocks)`` stack), or an array of candidate taps.
+        One flag per settle row.
         """
-        return bool(np.any(self._overflow_rows(voltages, raw)))
-
-    def _overflow_rows(self, voltages: np.ndarray, raw) -> np.ndarray:
-        """Per-row :meth:`_overflowed` of a ``(batch, n_blocks)``
-        settle whose output taps are ``raw`` (one per row)."""
         rail = self.params.vcc * 1.05
         clipped = (
             np.asarray(raw)
             > self.adc.spec.full_scale - self.adc.spec.lsb
         )
+        if clipped.ndim == voltages.ndim:
+            clipped = clipped.any(axis=-1)
         return (
             clipped
             | (np.max(voltages, axis=-1) > rail)
@@ -506,14 +549,6 @@ class DistanceAccelerator:
             ),
         )
 
-    def _const_positions(
-        self, frozen: FrozenGraph, ids: Sequence[int]
-    ) -> np.ndarray:
-        """Positions of const block ids inside ``const_values``."""
-        return np.searchsorted(
-            frozen.const_ids, np.asarray(list(ids), dtype=np.intp)
-        )
-
     def _solve(self, frozen: FrozenGraph) -> np.ndarray:
         return dc_solve(frozen, method=self.solver)
 
@@ -540,41 +575,17 @@ class DistanceAccelerator:
         q_arr = as_sequence(q, "q")
         if not config.supports_unequal_lengths:
             require_same_length(p_arr, q_arr)
-        n, m = p_arr.shape[0], q_arr.shape[0]
-        threshold_v = float(threshold) * self.params.voltage_resolution
-
-        if config.structure == "row":
-            w = as_weight_vector(weights, n)
-            return self._compute_row(
-                config, p_arr, q_arr, w, threshold_v, measure_time
-            )
-        w = as_weight_matrix(weights, n, m)
-        fits = n <= self.usable_rows and m <= self.usable_cols
-        if fits:
-            return self._compute_single_tile(
-                config,
-                p_arr,
-                q_arr,
-                w,
-                threshold_v,
-                band,
-                measure_time,
-                paper_errata,
-            )
-        if config.name == "hausdorff":
-            return self._compute_tiled_hausdorff(
-                config, p_arr, q_arr, w, measure_time
-            )
-        return self._compute_tiled_dp(
+        (result,) = self._settle(
             config,
             p_arr,
             q_arr,
-            w,
-            threshold_v,
+            weights,
+            threshold,
             band,
-            measure_time,
             paper_errata,
+            measure_time,
         )
+        return result
 
     def distance(self, function: str, **fixed) -> Callable[..., float]:
         """A plain ``fn(p, q, **kw) -> float`` view of one function.
@@ -706,9 +717,10 @@ class DistanceAccelerator:
         ``weights`` argument, and the workload fits the array without
         tiling (see :meth:`vectorizes`) — all pairs solve in a single
         vectorized settle of the shared template (a ``(batch,
-        n_const)`` rebind), and the converter glue around it runs once
-        over the stacked inputs and output taps.  Each row is
-        bit-identical to the sequential :meth:`compute` result.
+        n_const)`` rebind) on :meth:`compute`'s own settle path, whose
+        converter glue runs once over the stacked inputs and taps.
+        Each row is bit-identical to the sequential :meth:`compute`
+        result.
         Heterogeneous or tiled workloads fall back to the sequential
         loop transparently, and so do chips whose fault map draws read
         disturb: every sequential build draws its own noise, which one
@@ -747,56 +759,16 @@ class DistanceAccelerator:
                 )
                 for p_arr, q_arr in checked
             ]
-        threshold_v = float(threshold) * self.params.voltage_resolution
-        pvs = self._encode_inputs(np.stack([p for p, _ in checked]))
-        qvs = self._encode_inputs(np.stack([q for _, q in checked]))
-        if config.structure == "row":
-            template = self._row_segment_template(
-                config,
-                pvs[0],
-                qvs[0],
-                as_weight_vector(weights, n),
-                threshold_v,
-            )
-            conversion = self.dac.load_time(2 * n) + self.adc.read_time(1)
-        else:
-            template = self._single_tile_template(
-                config,
-                pvs[0],
-                qvs[0],
-                as_weight_matrix(weights, n, m),
-                threshold_v,
-                band,
-                paper_errata,
-            )
-            conversion = self.dac.load_time(n + m) + self.adc.read_time(1)
-
-        voltages = self._solve(template.bind({"p": pvs, "q": qvs}))
-        raws = voltages[:, template.out]
-        adcs = (
-            self.adc.convert(raws + self._fault_adc_offset())
-            if self.quantise_io
-            else raws
+        return self._settle(
+            config,
+            np.stack([p for p, _ in checked]),
+            np.stack([q for _, q in checked]),
+            weights,
+            threshold,
+            band,
+            paper_errata,
+            measure_time=False,
         )
-        overflows = self._overflow_rows(voltages, raws)
-        # Row structure reports the post-ADC segment sum as its raw
-        # voltage (mirroring _compute_row's single-segment case).
-        raw_fields = adcs if config.structure == "row" else raws
-        return [
-            AcceleratorResult(
-                function=config.name,
-                value=self._decode(config, adcs[b]),
-                raw_voltage=float(raw_fields[b]),
-                adc_voltage=float(adcs[b]),
-                convergence_time_s=None,
-                conversion_time_s=conversion,
-                total_time_s=None,
-                tiles=1,
-                overflow=bool(overflows[b]),
-                n_blocks=template.n_blocks,
-            )
-            for b in range(len(checked))
-        ]
 
     def _require_row_config(self, function: str) -> FunctionConfig:
         config = get_config(function)
@@ -860,35 +832,20 @@ class DistanceAccelerator:
             ]
             outs: List[int] = []
             for k, (ps, qs) in enumerate(pair_slots):
-                if config.name == "hamming":
-                    out = build_hamming_graph(
-                        graph,
-                        slot_ids[ps],
-                        slot_ids[qs],
-                        weight_vectors[k],
-                        self.params,
-                        threshold_v=threshold_v,
-                    )
-                else:
-                    out = build_manhattan_graph(
-                        graph,
-                        slot_ids[ps],
-                        slot_ids[qs],
-                        weight_vectors[k],
-                        self.params,
-                    )
+                out = self._build(
+                    config,
+                    graph,
+                    slot_ids[ps],
+                    slot_ids[qs],
+                    weight_vectors[k],
+                    threshold_v,
+                )
                 graph.mark_output(f"cand{k}", out)
                 outs.append(out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    f"in{j}": self._const_positions(frozen, ids)
-                    for j, ids in enumerate(slot_ids)
-                },
-                outs=np.array(outs, dtype=np.intp),
+            return _GraphTemplate.freeze(
+                graph,
+                {f"in{j}": ids for j, ids in enumerate(slot_ids)},
+                out=np.array(outs, dtype=np.intp),
             )
 
         was_cached = (
@@ -901,14 +858,7 @@ class DistanceAccelerator:
                 for j, arr in enumerate(arrays)
             }
         )
-        voltages = self._solve(bound)
-        raw = voltages[template.outs]
-        overflow = self._overflowed(voltages, raw)
-        read = (
-            self.adc.convert(raw + self._fault_adc_offset())
-            if self.quantise_io
-            else raw
-        )
+        _, read, overflow = self._read_out(template, self._solve(bound))
         values = np.array(
             [self._decode(config, float(v)) for v in read]
         )
@@ -931,11 +881,11 @@ class DistanceAccelerator:
             convergence_time_s=t_conv,
             conversion_time_s=conversion,
             passes=passes,
-            overflow=overflow,
+            overflow=bool(overflow),
             template_cached=was_cached,
         )
 
-    # -- single tile ---------------------------------------------------------
+    # -- the settle path -----------------------------------------------------
     def _build(
         self,
         config: FunctionConfig,
@@ -944,15 +894,32 @@ class DistanceAccelerator:
         q_ids: List[int],
         w: np.ndarray,
         threshold_v: float,
-        band: Optional[float],
-        paper_errata: bool,
+        band: Optional[float] = None,
+        paper_errata: bool = False,
         **boundary,
     ) -> int:
-        if config.name == "dtw":
+        """Wire ``config``'s PE configuration into ``graph``; returns
+        the output block.  ``boundary`` reaches the matrix builders
+        (tile boundary sources, cell and column-minimum exports)."""
+        name = config.name
+        if name == "manhattan":
+            return build_manhattan_graph(
+                graph, p_ids, q_ids, w, self.params
+            )
+        if name == "hamming":
+            return build_hamming_graph(
+                graph,
+                p_ids,
+                q_ids,
+                w,
+                self.params,
+                threshold_v=threshold_v,
+            )
+        if name == "dtw":
             return build_dtw_graph(
                 graph, p_ids, q_ids, w, self.params, band=band, **boundary
             )
-        if config.name == "lcs":
+        if name == "lcs":
             return build_lcs_graph(
                 graph,
                 p_ids,
@@ -962,7 +929,7 @@ class DistanceAccelerator:
                 threshold_v=threshold_v,
                 **boundary,
             )
-        if config.name == "edit":
+        if name == "edit":
             return build_edit_graph(
                 graph,
                 p_ids,
@@ -973,466 +940,235 @@ class DistanceAccelerator:
                 paper_errata=paper_errata,
                 **boundary,
             )
-        if config.name == "hausdorff":
+        if name == "hausdorff":
             return build_hausdorff_graph(
                 graph, p_ids, q_ids, w, self.params, **boundary
             )
-        raise ConfigurationError(
-            f"no matrix builder for {config.name!r}"
-        )
+        raise ConfigurationError(f"no PE builder for {name!r}")
 
-    def _single_tile_template(
+    def _tile_template(
         self,
+        kind: str,
         config: FunctionConfig,
-        pv: np.ndarray,
-        qv: np.ndarray,
+        inputs: Dict[str, np.ndarray],
         w: np.ndarray,
         threshold_v: float,
         band: Optional[float],
         paper_errata: bool,
     ) -> _GraphTemplate:
+        """The template of one tile, keyed by everything that shapes it.
+
+        ``kind`` is ``"row"`` (a row segment), ``"tile"`` (a matrix
+        workload fitting the array), ``"dp"`` (a DP tile whose top row,
+        left column and corner are rebindable boundary sources) or
+        ``"haud"`` (a Hausdorff tile whose ADC reads its column
+        minima).  ``inputs`` holds the encoded ``p``/``q`` (and a DP
+        tile's boundary) voltages; a stacked batch builds from its
+        first row.
+        """
+        pv, qv = inputs["p"], inputs["q"]
+        n, m = pv.shape[-1], qv.shape[-1]
+        corner = inputs.get("corner")
+        # An LCS tile with a 0 V corner shares the zero rail instead of
+        # a dedicated const — structurally a different graph, so the
+        # zero-ness is part of the key (see build_lcs_graph).
+        corner_shared = (
+            corner is not None
+            and config.name == "lcs"
+            and corner[0] == 0.0
+        )
         key = (
-            "tile",
+            kind,
             config.name,
-            pv.shape[0],
-            qv.shape[0],
+            n,
+            m,
             threshold_v,
             band,
             paper_errata,
+            corner_shared,
             w.tobytes(),
         )
 
         def build(graph: BlockGraph) -> _GraphTemplate:
-            p_ids = [graph.const(v) for v in pv]
-            q_ids = [graph.const(v) for v in qv]
-            out = self._build(
-                config, graph, p_ids, q_ids, w, threshold_v, band,
-                paper_errata,
-            )
-            graph.mark_output("out", out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    "p": self._const_positions(frozen, p_ids),
-                    "q": self._const_positions(frozen, q_ids),
-                },
-                out=out,
-            )
-
-        return self._template(key, build)
-
-    def _compute_single_tile(
-        self,
-        config: FunctionConfig,
-        p_arr: np.ndarray,
-        q_arr: np.ndarray,
-        w: np.ndarray,
-        threshold_v: float,
-        band: Optional[float],
-        measure_time: bool,
-        paper_errata: bool,
-    ) -> AcceleratorResult:
-        pv = self._encode_inputs(p_arr)
-        qv = self._encode_inputs(q_arr)
-        template = self._single_tile_template(
-            config, pv, qv, w, threshold_v, band, paper_errata
-        )
-        bound = template.bind({"p": pv, "q": qv})
-        voltages = self._solve(bound)
-        raw = float(voltages[template.out])
-        t_conv = None
-        if measure_time:
-            t_conv, _ = measure_convergence(bound, "out")
-        adc_v = self._adc_read(raw)
-        conversion = self.dac.load_time(
-            p_arr.size + q_arr.size
-        ) + self.adc.read_time(1)
-        return AcceleratorResult(
-            function=config.name,
-            value=self._decode(config, adc_v),
-            raw_voltage=raw,
-            adc_voltage=adc_v,
-            convergence_time_s=t_conv,
-            conversion_time_s=conversion,
-            total_time_s=(
-                t_conv + conversion if t_conv is not None else None
-            ),
-            tiles=1,
-            overflow=self._overflowed(voltages, raw),
-            n_blocks=template.n_blocks,
-        )
-
-    # -- row structure ---------------------------------------------------------
-    def _row_segment_template(
-        self,
-        config: FunctionConfig,
-        pv: np.ndarray,
-        qv: np.ndarray,
-        w_seg: np.ndarray,
-        threshold_v: float,
-    ) -> _GraphTemplate:
-        key = (
-            "row",
-            config.name,
-            pv.shape[0],
-            threshold_v,
-            w_seg.tobytes(),
-        )
-
-        def build(graph: BlockGraph) -> _GraphTemplate:
-            p_ids = [graph.const(v) for v in pv]
-            q_ids = [graph.const(v) for v in qv]
-            if config.name == "hamming":
-                out = build_hamming_graph(
-                    graph,
-                    p_ids,
-                    q_ids,
-                    w_seg,
-                    self.params,
-                    threshold_v=threshold_v,
-                )
-            else:
-                out = build_manhattan_graph(
-                    graph, p_ids, q_ids, w_seg, self.params
-                )
-            graph.mark_output("out", out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    "p": self._const_positions(frozen, p_ids),
-                    "q": self._const_positions(frozen, q_ids),
-                },
-                out=out,
-            )
-
-        return self._template(key, build)
-
-    def _compute_row(
-        self,
-        config: FunctionConfig,
-        p_arr: np.ndarray,
-        q_arr: np.ndarray,
-        w: np.ndarray,
-        threshold_v: float,
-        measure_time: bool,
-    ) -> AcceleratorResult:
-        n = p_arr.shape[0]
-        segments = plan_row_segments(n, self.usable_cols)
-        total_v = 0.0
-        t_conv_total = 0.0 if measure_time else None
-        conversion = 0.0
-        overflow = False
-        blocks = 0
-        for start, end in segments:
-            sl = slice(start - 1, end)
-            pv = self._encode_inputs(p_arr[sl])
-            qv = self._encode_inputs(q_arr[sl])
-            template = self._row_segment_template(
-                config, pv, qv, w[sl], threshold_v
-            )
-            bound = template.bind({"p": pv, "q": qv})
-            voltages = self._solve(bound)
-            raw = float(voltages[template.out])
-            overflow = overflow or self._overflowed(voltages, raw)
-            total_v += self._adc_read(raw)
-            blocks += template.n_blocks
-            conversion += self.dac.load_time(
-                2 * (end - start + 1)
-            ) + self.adc.read_time(1)
-            if measure_time:
-                t_seg, _ = measure_convergence(bound, "out")
-                t_conv_total += t_seg
-        return AcceleratorResult(
-            function=config.name,
-            value=self._decode(config, total_v),
-            raw_voltage=total_v,
-            adc_voltage=total_v,
-            convergence_time_s=t_conv_total,
-            conversion_time_s=conversion,
-            total_time_s=(
-                t_conv_total + conversion
-                if t_conv_total is not None
-                else None
-            ),
-            tiles=len(segments),
-            overflow=overflow,
-            n_blocks=blocks,
-        )
-
-    # -- tiled matrix DP ---------------------------------------------------------
-    def _dp_tile_template(
-        self,
-        config: FunctionConfig,
-        pv: np.ndarray,
-        qv: np.ndarray,
-        w_tile: np.ndarray,
-        threshold_v: float,
-        paper_errata: bool,
-        top: List[float],
-        left: List[float],
-        corner: float,
-    ) -> _GraphTemplate:
-        # An LCS tile with a 0 V corner shares the zero rail instead of
-        # a dedicated const — structurally a different graph, so the
-        # zero-ness is part of the key (see build_lcs_graph).
-        corner_shared = config.name == "lcs" and corner == 0.0
-        key = (
-            "dp",
-            config.name,
-            pv.shape[0],
-            qv.shape[0],
-            threshold_v,
-            paper_errata,
-            corner_shared,
-            w_tile.tobytes(),
-        )
-
-        def build(graph: BlockGraph) -> _GraphTemplate:
-            p_ids = [graph.const(v) for v in pv]
-            q_ids = [graph.const(v) for v in qv]
+            p_ids = [graph.const(v) for v in pv.reshape(-1, n)[0]]
+            q_ids = [graph.const(v) for v in qv.reshape(-1, m)[0]]
             cells: Dict[Tuple[int, int], int] = {}
-            boundary_ids: Dict[str, list] = {}
+            slots: Dict[str, list] = {"p": p_ids, "q": q_ids}
+            minima: List[int] = []
+            boundary: Dict[str, object] = {}
+            if kind == "dp":
+                # The builder adds the boundary sources to the slots.
+                boundary = dict(
+                    cells_out=cells,
+                    boundary_ids_out=slots,
+                    boundary_top=inputs["top"],
+                    boundary_left=inputs["left"],
+                    boundary_corner=corner[0],
+                )
+            elif kind == "haud":
+                boundary = dict(column_minima_out=minima)
             out = self._build(
                 config,
                 graph,
                 p_ids,
                 q_ids,
-                w_tile,
+                w,
                 threshold_v,
-                None,
+                band,
                 paper_errata,
-                cells_out=cells,
-                boundary_ids_out=boundary_ids,
-                boundary_top=top,
-                boundary_left=left,
-                boundary_corner=corner,
+                **boundary,
             )
             graph.mark_output("out", out)
-            frozen = graph.freeze()
-            return _GraphTemplate(
-                frozen=frozen,
-                n_blocks=len(graph),
-                base_const=frozen.const_values.copy(),
-                slots={
-                    "p": self._const_positions(frozen, p_ids),
-                    "q": self._const_positions(frozen, q_ids),
-                    "top": self._const_positions(
-                        frozen, boundary_ids.get("top", [])
-                    ),
-                    "left": self._const_positions(
-                        frozen, boundary_ids.get("left", [])
-                    ),
-                    "corner": self._const_positions(
-                        frozen, boundary_ids.get("corner", [])
-                    ),
-                },
+            return _GraphTemplate.freeze(
+                graph,
+                slots,
                 out=out,
-                cells=cells,
+                reads=minima or None,
+                edges=(
+                    [cells[(n, j)] for j in range(1, m + 1)],
+                    [cells[(i, m)] for i in range(1, n + 1)],
+                )
+                if cells
+                else None,
             )
 
         return self._template(key, build)
 
-    def _compute_tiled_dp(
+    def _settle(
         self,
         config: FunctionConfig,
         p_arr: np.ndarray,
         q_arr: np.ndarray,
-        w: np.ndarray,
-        threshold_v: float,
+        weights,
+        threshold: float,
         band: Optional[float],
-        measure_time: bool,
         paper_errata: bool,
-    ) -> AcceleratorResult:
-        if band is not None:
-            raise CapacityError(
-                "band-constrained DTW is only supported when the "
-                "sequences fit the PE array; enlarge array_rows/cols "
-                "or drop the band"
-            )
-        n, m = p_arr.shape[0], q_arr.shape[0]
-        dp = np.zeros((n + 1, m + 1))
-        if config.name == "dtw":
-            dp[0, 1:] = self.params.infinity_rail
-            dp[1:, 0] = self.params.infinity_rail
-        elif config.name == "edit":
-            dp[0, :] = np.arange(m + 1) * self.params.v_step
-            dp[:, 0] = np.arange(n + 1) * self.params.v_step
-
-        tiles = plan_matrix_tiles(
-            n, m, self.usable_rows, self.usable_cols
-        )
-        t_conv_total = 0.0 if measure_time else None
-        conversion = 0.0
-        overflow = False
-        blocks = 0
-        for tile in tiles:
-            i0, i1 = tile.row_start, tile.row_end
-            j0, j1 = tile.col_start, tile.col_end
-            pv = self._encode_inputs(p_arr[i0 - 1 : i1])
-            qv = self._encode_inputs(q_arr[j0 - 1 : j1])
-            top = [
-                self._requantise(dp[i0 - 1, j]) for j in range(j0, j1 + 1)
-            ]
-            left = [
-                self._requantise(dp[i, j0 - 1]) for i in range(i0, i1 + 1)
-            ]
-            corner = self._requantise(dp[i0 - 1, j0 - 1])
-            w_tile = w[i0 - 1 : i1, j0 - 1 : j1]
-            template = self._dp_tile_template(
-                config,
-                pv,
-                qv,
-                w_tile,
-                threshold_v,
-                paper_errata,
-                top,
-                left,
-                corner,
-            )
-            updates = {
-                "p": pv,
-                "q": qv,
-                "top": np.asarray(top),
-                "left": np.asarray(left),
-                "corner": np.asarray([corner]),
-            }
-            bound = template.bind(updates)
-            voltages = self._solve(bound)
-            cells = template.cells or {}
-            raw_tile = float(voltages[template.out])
-            overflow = overflow or self._overflowed(voltages, raw_tile)
-            blocks += template.n_blocks
-            # Export the bottom row and right column (what neighbours
-            # and the final readout need).
-            for j in range(1, tile.n_cols + 1):
-                dp[i1, j0 + j - 1] = voltages[cells[(tile.n_rows, j)]]
-            for i in range(1, tile.n_rows + 1):
-                dp[i0 + i - 1, j1] = voltages[cells[(i, tile.n_cols)]]
-            exported = tile.n_rows + tile.n_cols - 1
-            conversion += self.dac.load_time(
-                tile.n_rows + tile.n_cols + exported
-            ) + self.adc.read_time(exported)
-            if measure_time:
-                t_tile, _ = measure_convergence(bound, "out")
-                t_conv_total += t_tile
-        raw = float(dp[n, m])
-        adc_v = self._adc_read(raw)
-        return AcceleratorResult(
-            function=config.name,
-            value=self._decode(config, adc_v),
-            raw_voltage=raw,
-            adc_voltage=adc_v,
-            convergence_time_s=t_conv_total,
-            conversion_time_s=conversion,
-            total_time_s=(
-                t_conv_total + conversion
-                if t_conv_total is not None
-                else None
-            ),
-            tiles=len(tiles),
-            overflow=overflow,
-            n_blocks=blocks,
-        )
-
-    # -- tiled Hausdorff ---------------------------------------------------------
-    def _compute_tiled_hausdorff(
-        self,
-        config: FunctionConfig,
-        p_arr: np.ndarray,
-        q_arr: np.ndarray,
-        w: np.ndarray,
         measure_time: bool,
-    ) -> AcceleratorResult:
-        n, m = p_arr.shape[0], q_arr.shape[0]
-        tiles = plan_matrix_tiles(
-            n, m, self.usable_rows, self.usable_cols
-        )
-        col_min = np.full(m, np.inf)
-        t_conv_total = 0.0 if measure_time else None
+    ) -> "List[AcceleratorResult]":
+        """The settle path of :meth:`compute` and :meth:`compute_many`.
+
+        ``p_arr``/``q_arr`` are one pair's 1-D sequences, or ``(batch,
+        n)`` stacks of same-shape pairs fitting one tile (see
+        :meth:`vectorizes`) that settle in one vectorized solve.  The
+        workload runs as array tiles in order: row segments, one
+        fitting matrix tile, or a tiled DP / Hausdorff grid.  Each tile
+        binds its inputs into its template, settles and is read out;
+        one accounting sums conversion and convergence time, overflow
+        and block count over the tiles.  Row segments add their ADC
+        reads digitally; DP tiles hand their bottom row and right
+        column on through the ADC -> DAC boundary and the last tile's
+        output is the result; Hausdorff tiles fold their column minima.
+        Returns one result per pair.
+        """
+        n, m = p_arr.shape[-1], q_arr.shape[-1]
+        threshold_v = float(threshold) * self.params.voltage_resolution
+        if config.structure == "row":
+            w = as_weight_vector(weights, n)
+            tiles = [
+                Tile(start, end, start, end)
+                for start, end in plan_row_segments(n, self.usable_cols)
+            ]
+            # The row builders take neither a band nor the errata;
+            # pinning them keeps one template key per structure.
+            kind, band, paper_errata = "row", None, False
+        else:
+            w = as_weight_matrix(weights, n, m)
+            tiles = plan_matrix_tiles(
+                n, m, self.usable_rows, self.usable_cols
+            )
+            if len(tiles) == 1:
+                kind = "tile"
+            elif config.name == "hausdorff":
+                # A Hausdorff tile takes no threshold, band or errata.
+                kind, threshold_v, band, paper_errata = (
+                    "haud", 0.0, None, False
+                )
+                col_min = np.full(m, np.inf)
+            elif band is not None:
+                raise CapacityError(
+                    "band-constrained DTW is only supported when the "
+                    "sequences fit the PE array; enlarge array_rows/cols "
+                    "or drop the band"
+                )
+            else:
+                kind = "dp"
+                dp = np.zeros((n + 1, m + 1))
+                if config.name == "dtw":
+                    dp[0, 1:] = self.params.infinity_rail
+                    dp[1:, 0] = self.params.infinity_rail
+                elif config.name == "edit":
+                    dp[0, :] = np.arange(m + 1) * self.params.v_step
+                    dp[:, 0] = np.arange(n + 1) * self.params.v_step
+
         conversion = 0.0
-        overflow = False
+        t_conv = 0.0 if measure_time else None
+        # A NumPy bool: OR-ing a Python bool with one is slow.
+        overflow = np.False_
         blocks = 0
+        total = 0.0
         for tile in tiles:
             i0, i1 = tile.row_start, tile.row_end
             j0, j1 = tile.col_start, tile.col_end
-            pv = self._encode_inputs(p_arr[i0 - 1 : i1])
-            qv = self._encode_inputs(q_arr[j0 - 1 : j1])
-            w_tile = w[i0 - 1 : i1, j0 - 1 : j1]
-            key = (
-                "haud",
-                pv.shape[0],
-                qv.shape[0],
-                w_tile.tobytes(),
+            inputs = {
+                "p": self._encode_inputs(p_arr[..., i0 - 1 : i1]),
+                "q": self._encode_inputs(q_arr[..., j0 - 1 : j1]),
+            }
+            if kind == "dp":
+                inputs["top"] = self._requantise(dp[i0 - 1, j0 : j1 + 1])
+                inputs["left"] = self._requantise(dp[i0 : i1 + 1, j0 - 1])
+                inputs["corner"] = self._requantise(
+                    dp[i0 - 1, j0 - 1 : j0]
+                )
+            w_tile = (
+                w[i0 - 1 : i1]
+                if w.ndim == 1
+                else w[i0 - 1 : i1, j0 - 1 : j1]
             )
-
-            def build(
-                graph: BlockGraph,
-                pv: np.ndarray = pv,
-                qv: np.ndarray = qv,
-                w_tile: np.ndarray = w_tile,
-            ) -> _GraphTemplate:
-                p_ids = [graph.const(v) for v in pv]
-                q_ids = [graph.const(v) for v in qv]
-                minima_ids: List[int] = []
-                out = build_hausdorff_graph(
-                    graph,
-                    p_ids,
-                    q_ids,
-                    w_tile,
-                    self.params,
-                    column_minima_out=minima_ids,
-                )
-                graph.mark_output("out", out)
-                frozen = graph.freeze()
-                return _GraphTemplate(
-                    frozen=frozen,
-                    n_blocks=len(graph),
-                    base_const=frozen.const_values.copy(),
-                    slots={
-                        "p": self._const_positions(frozen, p_ids),
-                        "q": self._const_positions(frozen, q_ids),
-                    },
-                    out=out,
-                    minima=minima_ids,
-                )
-
-            template = self._template(key, build)
-            bound = template.bind({"p": pv, "q": qv})
+            template = self._tile_template(
+                kind, config, inputs, w_tile, threshold_v, band, paper_errata
+            )
+            bound = template.bind(inputs)
             voltages = self._solve(bound)
-            overflow = overflow or self._overflowed(
-                voltages, float(voltages[template.out])
-            )
+            raw, read, tile_overflow = self._read_out(template, voltages)
+            overflow = overflow | tile_overflow
             blocks += template.n_blocks
-            for k, block_id in enumerate(template.minima or []):
-                measured = self._adc_read(float(voltages[block_id]))
-                j = j0 - 1 + k
-                col_min[j] = min(col_min[j], measured)
-            conversion += self.dac.load_time(
-                tile.n_rows + tile.n_cols
-            ) + self.adc.read_time(tile.n_cols)
+            loads, reads = tile.n_rows + tile.n_cols, 1
+            if kind == "row":
+                total = total + read
+            elif kind == "haud":
+                col_min[j0 - 1 : j1] = np.minimum(col_min[j0 - 1 : j1], read)
+                reads = tile.n_cols
+            elif kind == "dp":
+                # Export the bottom row and right column (what
+                # neighbours and the final readout need).
+                bottom, right = template.edges
+                dp[i1, j0 : j1 + 1] = voltages[bottom]
+                dp[i0 : i1 + 1, j1] = voltages[right]
+                reads = tile.n_rows + tile.n_cols - 1
+                loads += reads
+            conversion += self.dac.load_time(loads) + self.adc.read_time(reads)
             if measure_time:
                 t_tile, _ = measure_convergence(bound, "out")
-                t_conv_total += t_tile
-        raw = float(np.max(col_min))
-        return AcceleratorResult(
-            function=config.name,
-            value=self._decode(config, raw),
-            raw_voltage=raw,
-            adc_voltage=raw,
-            convergence_time_s=t_conv_total,
-            conversion_time_s=conversion,
-            total_time_s=(
-                t_conv_total + conversion
-                if t_conv_total is not None
-                else None
-            ),
-            tiles=len(tiles),
-            overflow=overflow,
-            n_blocks=blocks,
-        )
+                t_conv += t_tile
+        if kind == "row":
+            raw = read = total
+        elif kind == "haud":
+            raw = read = np.max(col_min)
+        return [
+            AcceleratorResult(
+                function=config.name,
+                value=self._decode(config, adc_v),
+                raw_voltage=float(raw_v),
+                adc_voltage=float(adc_v),
+                convergence_time_s=t_conv,
+                conversion_time_s=conversion,
+                tiles=len(tiles),
+                overflow=bool(flag),
+                n_blocks=blocks,
+            )
+            for raw_v, adc_v, flag in (
+                zip(raw, read, overflow)
+                if p_arr.ndim > 1
+                else [(raw, read, overflow)]
+            )
+        ]

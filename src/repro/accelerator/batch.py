@@ -10,6 +10,15 @@ template banks) their throughput on this architecture.
 :meth:`DistanceAccelerator.batch_pairs` generalises it to independent
 (p, q) pairs sharing one settle, which is what the serving layer's
 dynamic batcher coalesces concurrent row-structure queries into.
+
+That multi-row graph (one array row, and one run of fault sites, per
+pair) is built by the same builder dispatch, frozen by the same
+template constructor and read by the same ADC read-out as every
+:meth:`DistanceAccelerator.compute` tile.  Its values differ from
+:meth:`DistanceAccelerator.compute_many`, which settles same-shape
+pairs of any function as a host-side ``(batch, n_blocks)`` stack of
+one single-pair graph: each batch row draws its own systematic
+errors.
 """
 
 from __future__ import annotations

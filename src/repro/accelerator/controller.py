@@ -11,8 +11,9 @@ memristor write pulses (~1 us each, Section 4.2's transition time).
 
 :class:`AcceleratorController` schedules a job list, accounts
 reconfiguration and compute time (caching measured convergence times
-per (function, length) operating point), and executes everything on an
-underlying :class:`~repro.accelerator.DistanceAccelerator`.
+per operating point: function, lengths, kwargs and fault epoch), and
+executes everything on an underlying
+:class:`~repro.accelerator.DistanceAccelerator`.
 """
 
 from __future__ import annotations
@@ -91,6 +92,14 @@ class ControllerReport:
         return self.reconfiguration_time_s + self.compute_time_s
 
 
+def _hashable(name: str, value):
+    """A kwarg as a memo-key field: weights by shape and bytes."""
+    if name == "weights" and value is not None:
+        w = np.asarray(value, dtype=np.float64)
+        return (w.shape, w.tobytes())
+    return value
+
+
 class AcceleratorController:
     """Schedules jobs onto one accelerator instance."""
 
@@ -105,17 +114,31 @@ class AcceleratorController:
             else DistanceAccelerator()
         )
         self.reconfiguration = reconfiguration
-        self._latency_cache: Dict[Tuple[str, int, int], float] = {}
+        self._latency_cache: Dict[Tuple, float] = {}
         self.current_function: Optional[str] = None
 
     # -- latency model -----------------------------------------------------
     def _latency(self, job: Job) -> float:
         """Convergence + conversion latency for a job's operating point.
 
-        Measured once per (function, n, m) and cached — the control
-        module knows its own timing closure.
+        Measured once per operating point and cached — the control
+        module knows its own timing closure.  The point is everything
+        that shapes the settled graph: the function, both lengths, the
+        job's kwargs (weights by value) and the chip's fault epoch.
         """
-        key = (job.function, job.p.shape[0], job.q.shape[0])
+        options = tuple(
+            sorted(
+                (name, _hashable(name, value))
+                for name, value in job.kwargs.items()
+            )
+        )
+        key = (
+            job.function,
+            job.p.shape[0],
+            job.q.shape[0],
+            options,
+            self.accelerator.fault_epoch,
+        )
         if key not in self._latency_cache:
             probe = self.accelerator.compute(
                 job.function,
@@ -198,7 +221,10 @@ class AcceleratorController:
         k = len(arrays)
         out = np.zeros((k, k))
         structure = get_config(name).structure
-        if structure == "row" and k > 1:
+        fits = all(
+            a.shape[0] <= self.accelerator.usable_cols for a in arrays
+        )
+        if structure == "row" and k > 1 and fits:
             # Genuinely batched: row i against all later series in one
             # (or a few) analog settles across the array rows.
             total_passes = 0
@@ -222,18 +248,18 @@ class AcceleratorController:
             modelled = total_passes * (pair_latency or 0.0)
             return out, modelled
 
-        pair_latency = None
-        n_pairs = 0
-        for i in range(k):
-            for j in range(i + 1, k):
-                job = Job(name, arrays[i], arrays[j], **kwargs)
-                if pair_latency is None:
-                    pair_latency = self._latency(job)
-                value = self.accelerator.compute(
-                    name, arrays[i], arrays[j], **kwargs
-                ).value
-                out[i, j] = out[j, i] = value
-                n_pairs += 1
-        passes = n_pairs
-        modelled = passes * (pair_latency or 0.0)
-        return out, modelled
+        # One pair at a time on the array; same-shape pairs share one
+        # vectorized settle on the host (see compute_many).
+        index = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        if not index:
+            return out, 0.0
+        first, second = index[0]
+        pair_latency = self._latency(
+            Job(name, arrays[first], arrays[second], **kwargs)
+        )
+        results = self.accelerator.compute_many(
+            name, [(arrays[i], arrays[j]) for i, j in index], **kwargs
+        )
+        for (i, j), result in zip(index, results):
+            out[i, j] = out[j, i] = result.value
+        return out, len(index) * pair_latency

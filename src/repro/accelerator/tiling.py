@@ -17,17 +17,16 @@ whose partial sums are accumulated digitally.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 
-@dataclasses.dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """Closed (inclusive) DP index ranges of one tile, 1-based.
 
     ``rows`` covers ``i`` in ``[row_start, row_end]`` and ``cols``
     covers ``j`` in ``[col_start, col_end]`` of the (1..n, 1..m) grid —
-    both endpoints belong to the tile.
+    both endpoints belong to the tile.  A named tuple: every
+    accelerator settle plans its tiles, so construction stays cheap.
     """
 
     row_start: int

@@ -137,9 +137,11 @@ class AcceleratorBackend:
     """One simulated accelerator chip behind the protocol.
 
     Row-structure functions route 1-vs-many calls through the batched
-    settle (:meth:`DistanceAccelerator.batch`); matrix functions fall
-    back to per-pair execution — exactly the dispatch the paper's
-    control module performs.
+    settle (:meth:`DistanceAccelerator.batch`); matrix functions (and
+    rows too long for the chip's usable width) run one pair at a time
+    on the array through :meth:`DistanceAccelerator.compute_many`,
+    whose same-shape pairs share one vectorized settle on the host —
+    exactly the dispatch the paper's control module performs.
     """
 
     name = "accelerator"
@@ -182,8 +184,7 @@ class AcceleratorBackend:
         config = get_config(function)
         fits = (
             config.structure == "row"
-            and np.asarray(query).shape[0]
-            <= self.accelerator.params.array_cols
+            and np.asarray(query).shape[0] <= self.accelerator.usable_cols
         )
         if fits:
             return np.asarray(
@@ -192,15 +193,13 @@ class AcceleratorBackend:
                 ).values,
                 dtype=np.float64,
             )
-        return np.array(
-            [
-                self.compute(
-                    function, query, c, weights=weights, **kwargs
-                )
-                for c in candidates
-            ],
-            dtype=np.float64,
+        results = self.accelerator.compute_many(
+            function,
+            [(query, c) for c in candidates],
+            weights=weights,
+            **kwargs,
         )
+        return np.array([r.value for r in results], dtype=np.float64)
 
     def pairwise(
         self,
