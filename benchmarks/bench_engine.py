@@ -8,8 +8,9 @@ same measurement for local profiling sessions)::
         [--repeats N] [--seed S] [--out BENCH_engine.json]
 
 Exits non-zero when the template-cached levelized path is not the
-stock accelerator's default or the fast and seed engines disagree
-bit-for-bit — the same gate the CLI applies.
+stock accelerator's default, the fast and seed engines disagree
+bit-for-bit, or a case falls below its ``SPEEDUP_FLOOR`` — the same
+gate the CLI applies.
 """
 
 from __future__ import annotations

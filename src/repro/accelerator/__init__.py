@@ -9,7 +9,7 @@ Public entry point:
 3.0
 """
 
-from .array import AcceleratorResult, DistanceAccelerator
+from .array import AcceleratorResult, DistanceAccelerator, StackedPairs
 from .batch import BatchResult
 from .controller import (
     AcceleratorController,
@@ -74,6 +74,7 @@ __all__ = [
     "PEResources",
     "PowerBreakdown",
     "ReconfigurationCost",
+    "StackedPairs",
     "Tile",
     "UNIFIED_PE",
     "accelerator_power",

@@ -46,7 +46,7 @@ from ..analog import (
     measure_convergence,
     measure_convergence_many,
 )
-from ..errors import CapacityError, ConfigurationError
+from ..errors import CapacityError, ConfigurationError, SequenceError
 from ..validation import (
     as_sequence,
     as_weight_matrix,
@@ -112,6 +112,42 @@ class AcceleratorResult:
         if self.convergence_time_s is None:
             return None
         return self.convergence_time_s + self.conversion_time_s
+
+
+class StackedPairs(Sequence):
+    """Same-shape ``(p, q)`` pairs held column-wise: a ``(k, n)`` stack
+    of every ``p`` and a ``(k, m)`` stack of every ``q``.
+
+    The columnar form of :meth:`DistanceAccelerator.compute_many`'s
+    ``pairs``: the stacks are validated once, as a whole, instead of
+    one :func:`~repro.validation.as_sequence` per row, and settle as
+    given.  Indexing and iteration still yield ``(p, q)`` row pairs.
+    """
+
+    def __init__(self, p, q) -> None:
+        p_stack = np.asarray(p, dtype=np.float64)
+        q_stack = np.asarray(q, dtype=np.float64)
+        if p_stack.ndim != 2 or q_stack.ndim != 2:
+            raise SequenceError(
+                "stacked pairs need (k, n) and (k, m) arrays, got "
+                f"shapes {p_stack.shape} and {q_stack.shape}"
+            )
+        if p_stack.shape[0] != q_stack.shape[0]:
+            raise SequenceError(
+                f"{p_stack.shape[0]} p rows but {q_stack.shape[0]} q rows"
+            )
+        if p_stack.shape[0] and 0 in (p_stack.shape[1], q_stack.shape[1]):
+            raise SequenceError("stacked sequences must be non-empty")
+        if not (np.isfinite(p_stack).all() and np.isfinite(q_stack).all()):
+            raise SequenceError("stacked pairs contain NaN or infinite values")
+        self.p = np.ascontiguousarray(p_stack)
+        self.q = np.ascontiguousarray(q_stack)
+
+    def __len__(self) -> int:
+        return self.p.shape[0]
+
+    def __getitem__(self, k):
+        return self.p[k], self.q[k]
 
 
 @dataclasses.dataclass
@@ -730,23 +766,38 @@ class DistanceAccelerator:
         runs and the Monte-Carlo sweeps amortize their settles with.
         (Timing is never measured here; use :meth:`compute` with
         ``measure_time=True`` for that.)
+
+        ``pairs`` may be a :class:`StackedPairs`: its stacks were
+        validated as a whole and settle without a per-row pass.
         """
         config = get_config(function)
-        checked = []
-        for k, (p, q) in enumerate(pairs):
-            p_arr = as_sequence(p, f"pairs[{k}][0]")
-            q_arr = as_sequence(q, f"pairs[{k}][1]")
-            if not config.supports_unequal_lengths:
-                require_same_length(p_arr, q_arr)
-            checked.append((p_arr, q_arr))
+        if isinstance(pairs, StackedPairs):
+            stacked = pairs
+            if len(stacked) and not config.supports_unequal_lengths:
+                require_same_length(stacked.p[0], stacked.q[0])
+            checked: Sequence = stacked
+        else:
+            checked = []
+            for k, (p, q) in enumerate(pairs):
+                p_arr = as_sequence(p, f"pairs[{k}][0]")
+                q_arr = as_sequence(q, f"pairs[{k}][1]")
+                if not config.supports_unequal_lengths:
+                    require_same_length(p_arr, q_arr)
+                checked.append((p_arr, q_arr))
+            shapes = {(p.shape[0], q.shape[0]) for p, q in checked}
+            stacked = (
+                StackedPairs(
+                    np.stack([p for p, _ in checked]),
+                    np.stack([q for _, q in checked]),
+                )
+                if len(shapes) == 1
+                else None
+            )
         if not checked:
             return []
-
-        shapes = {
-            (p_arr.shape[0], q_arr.shape[0]) for p_arr, q_arr in checked
-        }
-        n, m = next(iter(shapes))
-        if len(shapes) != 1 or not self.vectorizes(function, n, m):
+        if stacked is None or not self.vectorizes(
+            function, stacked.p.shape[1], stacked.q.shape[1]
+        ):
             return [
                 self.compute(
                     function,
@@ -761,8 +812,8 @@ class DistanceAccelerator:
             ]
         return self._settle(
             config,
-            np.stack([p for p, _ in checked]),
-            np.stack([q for _, q in checked]),
+            stacked.p,
+            stacked.q,
             weights,
             threshold,
             band,
@@ -1154,20 +1205,22 @@ class DistanceAccelerator:
             raw = read = total
         elif kind == "haud":
             raw = read = np.max(col_min)
+        # ``tolist`` hands a stack's rows over as Python scalars in one
+        # call instead of one NumPy scalar conversion per field.
         return [
             AcceleratorResult(
-                function=config.name,
-                value=self._decode(config, adc_v),
-                raw_voltage=float(raw_v),
-                adc_voltage=float(adc_v),
-                convergence_time_s=t_conv,
-                conversion_time_s=conversion,
-                tiles=len(tiles),
-                overflow=bool(flag),
-                n_blocks=blocks,
+                config.name,
+                self._decode(config, adc_v),
+                float(raw_v),
+                float(adc_v),
+                t_conv,
+                conversion,
+                len(tiles),
+                bool(flag),
+                blocks,
             )
             for raw_v, adc_v, flag in (
-                zip(raw, read, overflow)
+                zip(raw.tolist(), read.tolist(), overflow.tolist())
                 if p_arr.ndim > 1
                 else [(raw, read, overflow)]
             )

@@ -14,6 +14,7 @@ error is physical rather than assumed away.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -67,9 +68,7 @@ class ConverterSpec:
         """Seconds to move ``n_samples`` through ``n_converters``."""
         if n_converters < 1:
             raise ConfigurationError("need at least one converter")
-        return float(
-            np.ceil(n_samples / n_converters) / self.sample_rate_hz
-        )
+        return math.ceil(n_samples / n_converters) / self.sample_rate_hz
 
     def power_for_throughput(self, samples_per_second: float) -> float:
         """Power of a converter bank sustaining the given throughput.

@@ -462,11 +462,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(report.table())
         print(f"-- wrote {args.out}")
     if not report.ok:
-        # Either the template-cached levelized path is no longer what
-        # a stock accelerator serves, or the engines disagree — both
-        # make the speedups meaningless, so fail loudly.
+        # The template-cached levelized path is no longer what a stock
+        # accelerator serves, the engines disagree (both make the
+        # speedups meaningless) or a case fell below its floor.
         print(
-            "bench FAILED: fast path not default or engines diverge",
+            "bench FAILED: fast path not default, engines diverge or "
+            "a speedup is below its floor "
+            f"({', '.join(report.below_floor) or 'none below'})",
             file=sys.stderr,
         )
         return 1

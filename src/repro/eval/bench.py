@@ -24,7 +24,13 @@ case:
   after ``invalidate_templates()``: the fault-epoch bump every inject
   and recalibration causes, which re-derives the template's values on
   the kept graph structure, against the seed engine on a chip with the
-  same fault map (stage-by-stage faulted rebuild + Jacobi sweeps).
+  same fault map (stage-by-stage faulted rebuild + Jacobi sweeps);
+* ``pool_fanout`` — a 1-NN DTW fan-out (2 users x 30 series, n=16)
+  submitted pair by pair to a 4-shard pool with the result cache off
+  and drained, against one bare ``compute_many`` of the same 60 pairs
+  on one chip.  The drain settles them in that same one solve, so the
+  ratio (below 1) is the share of a drain's host time the chip gets:
+  what the pool's per-request bookkeeping costs on top.
 
 Every case checks bit-identical values between the two engines before
 timing — a benchmark of a wrong answer is worse than no benchmark.
@@ -43,6 +49,7 @@ import numpy as np
 from ..accelerator import DistanceAccelerator
 from ..accelerator.params import PAPER_PARAMS
 from ..faults import DriftFault, FaultInjector, LostPairFault
+from ..serving import AcceleratorPool, PoolConfig
 
 #: Acceptance floors: warm-cache single compute and the batched settle
 #: must beat the seed engine by at least this much, and a coalesced
@@ -51,14 +58,22 @@ from ..faults import DriftFault, FaultInjector, LostPairFault
 #: engines do, so its floor only bounds how far it may fall behind.
 #: A fault-epoch bump skips that build and only re-derives values, so
 #: ``refault_dtw`` must stay far ahead of a faulted rebuild (its floor
-#: is under a third of the 35-40x a 2-vCPU host measures).
+#: is under a third of the 35-40x a 2-vCPU host measures).  A pool
+#: drain of a fan-out must keep its bookkeeping under two thirds of the
+#: chip's own time for the same pairs (``pool_fanout`` >= 0.6).
 SPEEDUP_FLOOR = {
     "single_dtw": 5.0,
     "batch_manhattan": 3.0,
     "batch_dtw": 3.0,
     "cold_dtw": 0.6,
     "refault_dtw": 10.0,
+    "pool_fanout": 0.6,
 }
+
+#: Timing repeats the ``pool_fanout`` case takes at least: one drain is
+#: a few milliseconds, and its floor gates CI, so best-of-one is too
+#: noisy even under ``--smoke``.
+POOL_FANOUT_MIN_REPEATS = 5
 
 #: Fault map of the ``refault_dtw`` chips: ageing drift on every site
 #: plus a few lost pairs — damage that moves every stage weight but
@@ -102,14 +117,25 @@ class BenchReport:
         return all(c.equivalent for c in self.cases)
 
     @property
+    def below_floor(self) -> List[str]:
+        """Cases whose speedup fell under their :data:`SPEEDUP_FLOOR`."""
+        return [
+            c.name
+            for c in self.cases
+            if c.speedup < SPEEDUP_FLOOR.get(c.name, 0.0)
+        ]
+
+    @property
     def ok(self) -> bool:
-        """True when the run is meaningful: the fast path is what a
-        plain ``DistanceAccelerator()`` serves, and both engines agree
-        bit-for-bit on every case."""
+        """True when the run is meaningful and fast enough: the fast
+        path is what a plain ``DistanceAccelerator()`` serves, both
+        engines agree bit-for-bit on every case, and every case meets
+        its speedup floor."""
         return (
             self.template_cache_default
             and self.levelized_default
             and self.equivalent
+            and not self.below_floor
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -121,6 +147,7 @@ class BenchReport:
             "smoke": self.smoke,
             "seed": self.seed,
             "speedup_floors": dict(SPEEDUP_FLOOR),
+            "below_floor": self.below_floor,
             "cases": [c.as_dict() for c in self.cases],
         }
 
@@ -138,6 +165,10 @@ class BenchReport:
                 f"{c.baseline_queries_per_s:>10.2f} "
                 f"{c.speedup:>7.1f}x "
                 f"{'yes' if c.equivalent else 'NO':>6}"
+            )
+        if self.below_floor:
+            lines.append(
+                "-- below speedup floor: " + ", ".join(self.below_floor)
             )
         lines.append(
             "-- template cache default: "
@@ -198,7 +229,7 @@ def run_engine_bench(
     repeats: Optional[int] = None,
     seed: int = 0,
 ) -> BenchReport:
-    """Run the six-case engine benchmark.
+    """Run the seven-case engine benchmark.
 
     ``smoke`` keeps the repeat count minimal for CI; ``repeats``
     overrides it.  The baseline accelerators disable the template
@@ -323,6 +354,33 @@ def run_engine_bench(
             refault_compute,
             lambda: faulted_seed.compute("dtw", p40, q40).value,
             repeats,
+        )
+    )
+
+    # 7. A knn-shaped fan-out through the pool against a bare
+    #    compute_many of the same pairs on one chip.
+    pool = AcceleratorPool(
+        n_shards=4, config=PoolConfig(cache_capacity=0)
+    )
+    train = [rng.normal(size=16) for _ in range(30)]
+    users = [rng.normal(size=16) for _ in range(2)]
+    fanout = [(query, series) for query in users for series in train]
+
+    def pool_fanout() -> np.ndarray:
+        start = pool.virtual_now
+        for k, (query, series) in enumerate(fanout):
+            arrival = start + (k // len(train)) * 3.0e-7
+            pool.submit("dtw", query, series, arrival_s=arrival)
+        return np.array([r.value for r in pool.drain()])
+
+    cases.append(
+        _time_case(
+            "pool_fanout",
+            pool_fanout,
+            lambda: np.array(
+                [r.value for r in fast_chip.compute_many("dtw", fanout)]
+            ),
+            max(repeats, POOL_FANOUT_MIN_REPEATS),
         )
     )
 

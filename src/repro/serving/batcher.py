@@ -44,6 +44,9 @@ class DynamicBatcher:
         self.window_s = window_s
         self.max_batch = max_batch
         self._buckets: Dict[Hashable, _Bucket] = {}
+        #: Items across all buckets (kept, not summed: the pool asks
+        #: for it on every placement).
+        self._size = 0
 
     def add(
         self,
@@ -66,12 +69,17 @@ class DynamicBatcher:
             bucket = _Bucket(items=[], opened_s=now)
             self._buckets[key] = bucket
         bucket.items.append(item)
+        self._size += 1
         if flush_by is not None:
             bucket.flush_by_s = min(bucket.flush_by_s, flush_by)
         if len(bucket.items) >= self.max_batch:
-            del self._buckets[key]
-            return bucket.items
+            return self._pop(key)
         return None
+
+    def _pop(self, key: Hashable) -> List:
+        items = self._buckets.pop(key).items
+        self._size -= len(items)
+        return items
 
     def _expiry_s(self, bucket: _Bucket) -> float:
         return min(
@@ -86,7 +94,7 @@ class DynamicBatcher:
             for key, bucket in self._buckets.items()
             if now >= self._expiry_s(bucket)
         ]
-        return [(key, self._buckets.pop(key).items) for key in ready]
+        return [(key, self._pop(key)) for key in ready]
 
     def flush(self) -> List[Tuple[Hashable, List]]:
         """Pop everything, regardless of age (end of stream)."""
@@ -95,11 +103,12 @@ class DynamicBatcher:
             for key, bucket in self._buckets.items()
         ]
         self._buckets.clear()
+        self._size = 0
         return out
 
     def pending(self) -> int:
         """Number of queued items across all buckets."""
-        return sum(len(b.items) for b in self._buckets.values())
+        return self._size
 
     def pending_for(self, key: Hashable) -> int:
         bucket = self._buckets.get(key)

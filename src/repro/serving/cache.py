@@ -23,8 +23,16 @@ KEY_RESOLUTION = 1.0e-6
 def quantise_key(values, resolution: float) -> bytes:
     """Stable byte key of a float array on a ``resolution`` grid."""
     arr = np.asarray(values, dtype=np.float64)
-    grid = np.round(arr / resolution).astype(np.int64)
+    # rint is np.round at zero decimals (half to even), without the
+    # wrapper's dispatch.
+    grid = np.rint(arr / resolution).astype(np.int64)
     return grid.tobytes()
+
+
+def _quantised(values) -> bytes:
+    if isinstance(values, bytes):
+        return values
+    return quantise_key(values, KEY_RESOLUTION)
 
 
 class ResultCache:
@@ -51,12 +59,16 @@ class ResultCache:
         weights=None,
         extra: Tuple = (),
     ) -> Hashable:
-        """Cache key of one query: function, inputs, weights, kwargs."""
+        """Cache key of one query: function, inputs, weights, kwargs.
+
+        ``p``, ``q`` and ``weights`` may also be given as their
+        :func:`quantise_key` bytes, when the caller holds them already.
+        """
         return (
             function,
-            quantise_key(p, KEY_RESOLUTION),
-            quantise_key(q, KEY_RESOLUTION),
-            b"" if weights is None else quantise_key(weights, KEY_RESOLUTION),
+            _quantised(p),
+            _quantised(q),
+            b"" if weights is None else _quantised(weights),
             tuple(extra),
         )
 

@@ -14,6 +14,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import ConfigurationError
 
@@ -82,7 +83,10 @@ class LatencyHistogram:
             np.log10(low), np.log10(high), n_buckets + 1
         )
         self._edges: List[float] = self.bounds.tolist()
-        self.counts = np.zeros(n_buckets, dtype=np.int64)
+        self._last_bucket = n_buckets - 1
+        # A list, not an array: ``record`` runs once or twice per
+        # served request, and a NumPy scalar increment is slower.
+        self._counts: List[int] = [0] * n_buckets
         self.count = 0
         self.total = 0.0
         self._min: Optional[float] = None
@@ -92,10 +96,21 @@ class LatencyHistogram:
         value = float(value)
         self.count += 1
         self.total += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
         index = bisect.bisect_right(self._edges, value) - 1
-        self.counts[min(max(index, 0), len(self._edges) - 2)] += 1
+        if index < 0:
+            index = 0
+        elif index > self._last_bucket:
+            index = self._last_bucket
+        self._counts[index] += 1
+
+    @property
+    def counts(self) -> "npt.NDArray[np.int64]":
+        """Observations per bucket (a fresh array)."""
+        return np.array(self._counts, dtype=np.int64)
 
     @property
     def mean(self) -> float:
@@ -108,14 +123,15 @@ class LatencyHistogram:
         if self.count == 0:
             return 0.0
         rank = q / 100.0 * self.count
-        cumulative = np.cumsum(self.counts)
+        counts = self.counts
+        cumulative = np.cumsum(counts)
         index = int(np.searchsorted(cumulative, rank, side="left"))
-        index = min(index, self.counts.size - 1)
+        index = min(index, counts.size - 1)
         lo, hi = self.bounds[index], self.bounds[index + 1]
         lo = max(lo, self._min if self._min is not None else lo)
         hi = min(hi, self._max if self._max is not None else hi)
         prior = cumulative[index - 1] if index > 0 else 0
-        in_bucket = self.counts[index]
+        in_bucket = counts[index]
         frac = (
             (rank - prior) / in_bucket if in_bucket > 0 else 0.0
         )

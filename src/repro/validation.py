@@ -28,7 +28,10 @@ def as_sequence(values, name: str = "sequence") -> np.ndarray:
     Returns
     -------
     numpy.ndarray
-        A contiguous 1-D ``float64`` copy of the input.
+        A contiguous 1-D ``float64`` array: the input itself when it
+        already is one, else a converted copy.  A caller that keeps
+        the result past the call and must not see later writes to the
+        input copies it (the serving pool's ``submit`` does).
 
     Raises
     ------
@@ -42,7 +45,7 @@ def as_sequence(values, name: str = "sequence") -> np.ndarray:
         )
     if arr.size == 0:
         raise SequenceError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SequenceError(f"{name} contains NaN or infinite values")
     return np.ascontiguousarray(arr)
 

@@ -21,14 +21,21 @@ import repro.analog.graph as graph_module
 from repro.accelerator import (
     AcceleratorParameters,
     DistanceAccelerator,
+    StackedPairs,
 )
+from repro.accelerator.params import PAPER_PARAMS
 from repro.analog import (
     BlockGraph,
     NonidealityModel,
     dc_solve,
     measure_convergence_many,
 )
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    LengthMismatchError,
+    SequenceError,
+)
 from repro.faults import (
     DriftFault,
     FaultInjector,
@@ -483,6 +490,56 @@ class TestBatchedSolve:
             assert result.value == chip.compute(
                 "manhattan", p, q
             ).value
+
+    @pytest.mark.parametrize(
+        "function, lengths", [("dtw", (10, 7)), ("manhattan", (9, 9))]
+    )
+    def test_stacked_pairs_match_pair_list(self, function, lengths, rng):
+        n, m = lengths
+        pairs = [
+            (rng.normal(size=n), rng.normal(size=m)) for _ in range(5)
+        ]
+        stacked = StackedPairs(
+            np.stack([p for p, _ in pairs]), np.stack([q for _, q in pairs])
+        )
+        assert len(stacked) == 5
+        assert all(
+            np.array_equal(a, p) and np.array_equal(b, q)
+            for (a, b), (p, q) in zip(stacked, pairs)
+        )
+        chip = DistanceAccelerator()
+        assert chip.compute_many(function, stacked) == chip.compute_many(
+            function, pairs
+        )
+        # A stack that tiles falls back to one compute per row.
+        small = DistanceAccelerator(
+            params=dataclasses.replace(
+                PAPER_PARAMS, array_rows=4, array_cols=4
+            ),
+            validate=False,
+        )
+        assert small.compute_many(function, stacked) == [
+            small.compute(function, p, q) for p, q in pairs
+        ]
+
+    def test_stacked_pairs_validate_as_a_whole(self):
+        with pytest.raises(SequenceError):
+            StackedPairs(np.ones(4), np.ones((1, 4)))
+        with pytest.raises(SequenceError):
+            StackedPairs(np.ones((2, 4)), np.ones((3, 4)))
+        with pytest.raises(SequenceError):
+            StackedPairs(np.ones((2, 0)), np.ones((2, 0)))
+        bad = np.ones((2, 4))
+        bad[1, 2] = np.inf
+        with pytest.raises(SequenceError):
+            StackedPairs(bad, np.ones((2, 4)))
+        with pytest.raises(LengthMismatchError):
+            DistanceAccelerator().compute_many(
+                "manhattan", StackedPairs(np.ones((2, 4)), np.ones((2, 5)))
+            )
+        assert DistanceAccelerator().compute_many(
+            "dtw", StackedPairs(np.ones((0, 4)), np.ones((0, 4)))
+        ) == []
 
     def test_batch_pairs_reports_template_reuse(self, rng):
         chip = DistanceAccelerator()

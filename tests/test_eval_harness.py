@@ -161,3 +161,44 @@ class TestSweeps:
         assert len(rows) == 2
         for row in rows:
             assert row.mean_relative_error < 0.2
+
+
+class TestEngineBenchFloors:
+    @staticmethod
+    def _report(speedups):
+        from repro.eval.bench import BenchCase, BenchReport
+
+        cases = [
+            BenchCase(
+                name=name,
+                fast_s=1.0,
+                baseline_s=speedup,
+                queries_per_s=1.0,
+                baseline_queries_per_s=1.0 / speedup,
+                speedup=speedup,
+                equivalent=True,
+                repeats=1,
+            )
+            for name, speedup in speedups.items()
+        ]
+        return BenchReport(
+            cases=cases,
+            template_cache_default=True,
+            levelized_default=True,
+            smoke=True,
+            seed=0,
+        )
+
+    def test_every_floored_case_must_meet_its_floor(self):
+        from repro.eval.bench import SPEEDUP_FLOOR
+
+        passing = self._report(
+            {name: 2 * floor for name, floor in SPEEDUP_FLOOR.items()}
+        )
+        assert passing.ok and passing.below_floor == []
+        slow = dict(SPEEDUP_FLOOR, pool_fanout=0.5)
+        failing = self._report(slow)
+        assert not failing.ok
+        assert failing.below_floor == ["pool_fanout"]
+        assert failing.as_dict()["below_floor"] == ["pool_fanout"]
+        assert "below speedup floor: pool_fanout" in failing.table()
