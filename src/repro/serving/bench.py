@@ -222,8 +222,8 @@ def run_serve_bench(
         served=served,
         shed=shed,
         cached=cached,
-        batches=int(counters.get("batches", 0)),
-        batched_requests=int(counters.get("batched_requests", 0)),
+        batches=int(counters["batches"]),
+        batched_requests=int(counters["batched_requests"]),
         cache_hit_rate=pool.cache.hit_rate,
         throughput_qps=served / makespan if makespan > 0 else 0.0,
         mean_latency_s=latency.mean,

@@ -320,6 +320,21 @@ class TestPoolServing:
             == counters["requests"]
         )
 
+    def test_fresh_pool_exports_every_counter_at_zero(self):
+        counters = make_pool(n_shards=1).snapshot()["counters"]
+        for name in (
+            "requests",
+            "cache_hits",
+            "cache_misses",
+            "served",
+            "shed",
+            "reconfigurations",
+            "batches",
+            "batched_requests",
+            "overflow",
+        ):
+            assert counters[name] == 0, name
+
     def test_snapshot_exports_shards_and_cache(self, rng):
         pool = make_pool(n_shards=2)
         pool.submit("manhattan", rng.normal(size=8), rng.normal(size=8))
