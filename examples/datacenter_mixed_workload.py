@@ -8,69 +8,95 @@ for vehicle classification.  None of these existing works can work
 well in this scenario as they are optimized for a single distance
 function only."
 
-This example streams a mixed job queue (HamD + LCS + DTW jobs) through
-the control module, comparing FIFO execution against
-configuration-grouped scheduling, and prints the reconfiguration
-accounting that justifies the reconfigurable design.
+This example streams an interleaved job queue (HamD + LCS + DTW) two
+ways and prints the reconfiguration count and the makespan of each:
+
+* ``serial_loop_time`` — one chip serving the queue in arrival order,
+  so every job switches the array to a new configuration;
+* a 3-shard ``AcceleratorPool`` drain — least-loaded placement with
+  function affinity keeps each function resident on its own shard.
+
+The whole queue arrives at once, and the pool's row batcher is off, so
+both sides pay one settle per job and differ only in scheduling.
 
 Run:  python examples/datacenter_mixed_workload.py
 """
 
 import numpy as np
 
-from repro.accelerator import (
-    AcceleratorController,
-    DistanceAccelerator,
-    Job,
+from repro.serving import (
+    AcceleratorPool,
+    PoolConfig,
+    PoolRequest,
+    serial_loop_time,
 )
 
 
 def make_queue(rng: np.random.Generator, total: int = 30):
-    """An interleaved arrival stream, as a shared data center sees it."""
+    """An interleaved arrival stream, as a shared data center sees it:
+    ``(function, p, q, kwargs)`` per job."""
     jobs = []
     for k in range(total):
         kind = k % 3
         if kind == 0:  # iris authentication (HamD on binary codes)
             p = rng.integers(0, 2, 32).astype(float)
             q = rng.integers(0, 2, 32).astype(float)
-            jobs.append(Job("hamming", p, q, threshold=0.5))
+            jobs.append(("hamming", p, q, {"threshold": 0.5}))
         elif kind == 1:  # ECG similarity (LCS)
             p = rng.normal(size=20)
             q = p + rng.normal(0, 0.3, 20)
-            jobs.append(Job("lcs", p, q, threshold=0.6))
+            jobs.append(("lcs", p, q, {"threshold": 0.6}))
         else:  # vehicle classification (DTW)
             p = rng.normal(size=16)
             q = rng.normal(size=16)
-            jobs.append(Job("dtw", p, q))
+            jobs.append(("dtw", p, q, {}))
     return jobs
 
 
 def main() -> None:
-    rng = np.random.default_rng(2017)
-    chip = DistanceAccelerator()
+    jobs = make_queue(np.random.default_rng(2017))
 
-    for policy, reorder in (("FIFO", False), ("grouped", True)):
-        controller = AcceleratorController(chip)
-        report = controller.run(make_queue(rng), reorder=reorder)
-        print(
-            f"{policy:>8}: {report.reconfigurations:>3} "
-            f"reconfigurations, "
-            f"reconfig {report.reconfiguration_time_s * 1e6:8.2f} us + "
-            f"compute {report.compute_time_s * 1e6:8.2f} us = "
-            f"{report.total_time_s * 1e6:8.2f} us"
+    requests = [
+        PoolRequest(
+            id=k,
+            function=function,
+            p=p,
+            q=q,
+            arrival_s=0.0,
+            kwargs=kwargs,
         )
+        for k, (function, p, q, kwargs) in enumerate(jobs)
+    ]
+    switches = sum(
+        1
+        for k, request in enumerate(requests)
+        if k == 0 or request.function != requests[k - 1].function
+    )
+    serial_s = serial_loop_time(requests)
+    print(
+        f"  serial loop, 1 chip: {switches:>3} reconfigurations, "
+        f"makespan {serial_s * 1e6:8.3f} us"
+    )
 
-    # The same queue on three single-function accelerators would need
-    # three chips; the reconfigurable array needs one — the paper's
-    # chip-area argument, in scheduling terms.
-    controller = AcceleratorController(chip)
-    report = controller.run(make_queue(rng), reorder=True)
-    per_function = {}
-    for job, result in zip(make_queue(rng), report.results):
-        per_function.setdefault(result.function, []).append(result.value)
-    print("\nper-function job counts on the single shared array:")
-    for function, values in sorted(per_function.items()):
-        print(f"  {function:<9} {len(values):>3} jobs")
+    pool = AcceleratorPool(
+        n_shards=3, config=PoolConfig(enable_batching=False)
+    )
+    for function, p, q, kwargs in jobs:
+        pool.submit(function, p, q, arrival_s=0.0, **kwargs)
+    responses = pool.drain()
+    counters = pool.snapshot()["counters"]
+    print(
+        f"pool drain, 3 shards: {counters['reconfigurations']:>3} "
+        f"reconfigurations, makespan {pool.makespan_s * 1e6:8.3f} us"
+    )
+
+    print("\njobs per shard (function affinity keeps each resident):")
+    for shard in pool.shards:
+        served = [
+            jobs[r.request_id][0] for r in responses if r.shard == shard.index
+        ]
+        functions = ", ".join(sorted(set(served)))
+        print(f"  shard {shard.index}: {len(served):>3} jobs ({functions})")
 
 
 if __name__ == "__main__":

@@ -11,16 +11,11 @@ Public entry point:
 
 from .array import AcceleratorResult, DistanceAccelerator, StackedPairs
 from .batch import BatchResult
-from .controller import (
-    AcceleratorController,
-    ControllerReport,
-    Job,
-    ReconfigurationCost,
-)
 from .configurations import (
     CONFIG_LIBRARY,
     FunctionConfig,
     PEResources,
+    ReconfigurationCost,
     UNIFIED_PE,
     get_config,
 )
@@ -51,14 +46,12 @@ from .power import (
 from .tiling import Tile, plan_matrix_tiles, plan_row_segments, tile_count
 
 __all__ = [
-    "AcceleratorController",
     "AcceleratorParameters",
     "AcceleratorResult",
     "AdcArray",
     "BatchResult",
     "CALIBRATED_OPAMPS_PER_PE",
     "CONFIG_LIBRARY",
-    "ControllerReport",
     "ConverterSpec",
     "DacArray",
     "DistanceAccelerator",
@@ -66,7 +59,6 @@ __all__ = [
     "EXISTING_WORK_POWER_W",
     "EarlyDecision",
     "FunctionConfig",
-    "Job",
     "PAPER_ADC",
     "PAPER_DAC",
     "PAPER_PARAMS",

@@ -11,6 +11,10 @@ recording:
 * the PE resources it activates (driving the Section 4.3 power model),
 * the memristor ratio rules for its weighted variant (Section 3.2).
 
+Switching the array from one configuration to another has a cost,
+:class:`ReconfigurationCost`; :data:`RECONFIGURATION` is the one every
+scheduler charges.
+
 The unified PE inventory (Section 3.1: nine analog subtracters, two
 transmission gates, five diodes, one comparator, one buffer, one
 converter) bounds every per-function resource count, which the tests
@@ -193,3 +197,40 @@ def get_config(name: str) -> FunctionConfig:
             f"the accelerator has no configuration for {key!r}"
         )
     return CONFIG_LIBRARY[key]
+
+
+@dataclasses.dataclass(frozen=True)
+class ReconfigurationCost:
+    """Time model for switching the array between configurations.
+
+    Attributes
+    ----------
+    tg_switch_s:
+        Updating the transmission-gate pattern of every PE (digital
+        control lines; one broadcast).
+    memristor_write_s:
+        One programming pulse (Section 4.2: ~1 us transition time).
+    writes_per_weighted_pe:
+        Modulate/verify iterations per reprogrammed ratio (see
+        :mod:`repro.memristor.tuning`).
+    """
+
+    tg_switch_s: float = 10.0e-9
+    memristor_write_s: float = 1.0e-6
+    writes_per_weighted_pe: int = 3
+
+    def switch_time(self, weighted_pes: int = 0) -> float:
+        """Cost of one reconfiguration touching ``weighted_pes`` PEs."""
+        if weighted_pes < 0:
+            raise ConfigurationError("weighted_pes must be >= 0")
+        return (
+            self.tg_switch_s
+            + weighted_pes
+            * self.writes_per_weighted_pe
+            * self.memristor_write_s
+        )
+
+
+#: The chip's switching cost, charged by the pool, the serial
+#: baseline and the data-center server model.
+RECONFIGURATION = ReconfigurationCost()

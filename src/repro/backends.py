@@ -38,6 +38,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .distances.base import get_distance, pairwise_matrix
 from .errors import ConfigurationError
+from .validation import as_sequence
 
 if TYPE_CHECKING:
     from .accelerator import DistanceAccelerator
@@ -182,20 +183,22 @@ class AcceleratorBackend:
         from .accelerator.configurations import get_config
 
         config = get_config(function)
-        fits = (
+        q_arr = as_sequence(query, "query")
+        if len(candidates) == 0:
+            return np.empty(0)
+        if (
             config.structure == "row"
-            and np.asarray(query).shape[0] <= self.accelerator.usable_cols
-        )
-        if fits:
+            and q_arr.shape[0] <= self.accelerator.usable_cols
+        ):
             return np.asarray(
                 self.accelerator.batch(
-                    function, query, candidates, weights=weights, **kwargs
+                    function, q_arr, candidates, weights=weights, **kwargs
                 ).values,
                 dtype=np.float64,
             )
         results = self.accelerator.compute_many(
             function,
-            [(query, c) for c in candidates],
+            [(q_arr, c) for c in candidates],
             weights=weights,
             **kwargs,
         )
@@ -207,12 +210,37 @@ class AcceleratorBackend:
         series: Sequence[ArrayLike],
         **kwargs: Any,
     ) -> NDArray[np.float64]:
-        from .accelerator import AcceleratorController
+        from .accelerator.configurations import get_config
 
-        matrix, _ = AcceleratorController(self.accelerator).pairwise(
-            function, series, **kwargs
+        config = get_config(function)
+        arrays = [
+            as_sequence(s, f"series[{i}]") for i, s in enumerate(series)
+        ]
+        k = len(arrays)
+        out = np.zeros((k, k))
+        if config.structure == "row" and all(
+            a.shape[0] <= self.accelerator.usable_cols for a in arrays
+        ):
+            # Row i against every later series: one settle across the
+            # array rows (or a few passes) per row of the matrix.
+            for i in range(k - 1):
+                values = self.accelerator.batch(
+                    config.name, arrays[i], arrays[i + 1 :], **kwargs
+                ).values
+                out[i, i + 1 :] = values
+                out[i + 1 :, i] = values
+            return out
+        # One pair at a time on the array; same-shape pairs share one
+        # vectorized settle on the host (see compute_many).
+        index = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        results = self.accelerator.compute_many(
+            config.name,
+            [(arrays[i], arrays[j]) for i, j in index],
+            **kwargs,
         )
-        return np.asarray(matrix, dtype=np.float64)
+        for (i, j), result in zip(index, results):
+            out[i, j] = out[j, i] = result.value
+        return out
 
 
 def resolve_backend(

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..accelerator.controller import ReconfigurationCost
+from ..accelerator.configurations import RECONFIGURATION
 from ..accelerator.power import accelerator_power
 from ..baselines.cpu import modelled_cpu_time
 from ..baselines.literature import (
@@ -43,10 +43,8 @@ class AcceleratorServer:
 
     def __init__(
         self,
-        reconfiguration: ReconfigurationCost = ReconfigurationCost(),
         per_element_s: Optional[Dict[str, float]] = None,
     ) -> None:
-        self.reconfiguration = reconfiguration
         self.per_element_s = dict(
             per_element_s
             if per_element_s is not None
@@ -65,7 +63,7 @@ class AcceleratorServer:
             + CONVERSION_OVERHEAD_S
         )
         if query.function != self.current_function:
-            t += self.reconfiguration.switch_time(0)
+            t += RECONFIGURATION.switch_time(0)
             self.current_function = query.function
         return t
 

@@ -5,6 +5,7 @@ import pytest
 from repro.accelerator import (
     CONFIG_LIBRARY,
     PEResources,
+    ReconfigurationCost,
     UNIFIED_PE,
     get_config,
 )
@@ -92,3 +93,18 @@ class TestPEResources:
     def test_overbudget_pe_detected(self):
         monster = PEResources(op_amps=20, comparators=3)
         assert not monster.fits_unified_pe()
+
+
+class TestReconfigurationCost:
+    def test_tg_only_switch_is_fast(self):
+        cost = ReconfigurationCost()
+        assert cost.switch_time(0) == pytest.approx(10e-9)
+
+    def test_weighted_switch_dominated_by_writes(self):
+        cost = ReconfigurationCost()
+        t = cost.switch_time(weighted_pes=100)
+        assert t == pytest.approx(10e-9 + 100 * 3 * 1e-6)
+
+    def test_negative_pes_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ReconfigurationCost().switch_time(-1)
