@@ -150,6 +150,22 @@ class StackedPairs(Sequence):
         return self.p[k], self.q[k]
 
 
+#: Graph structures the process keeps (see :meth:`DistanceAccelerator.
+#: _structure`), least recently used first out.
+STRUCTURE_STORE_CAPACITY = 256
+
+#: The process-wide structure store: ``(params, nonideality, timing,
+#: key)`` -> the healthy template of ``key`` on chips of that design.
+_STRUCTURES: "OrderedDict[Hashable, _GraphTemplate]" = OrderedDict()
+
+
+def clear_structure_store() -> None:
+    """Forget every kept graph structure, so the next query of each
+    template key builds it anew on whatever chip asks first (a true
+    first build, as a chip of a design the process never saw pays)."""
+    _STRUCTURES.clear()
+
+
 @dataclasses.dataclass
 class _GraphTemplate:
     """A frozen, reusable block graph plus its rebind metadata.
@@ -284,9 +300,6 @@ class DistanceAccelerator:
         self.solver = solver
         self.use_template_cache = use_template_cache
         self._templates: "OrderedDict[Hashable, _GraphTemplate]" = (
-            OrderedDict()
-        )
-        self._structures: "OrderedDict[Hashable, _GraphTemplate]" = (
             OrderedDict()
         )
         self._template_capacity = 256
@@ -551,24 +564,30 @@ class DistanceAccelerator:
         key: Hashable,
         build: "Callable[[BlockGraph], _GraphTemplate]",
     ) -> _GraphTemplate:
-        """The healthy template of ``key``, built once per chip.
+        """The healthy template of ``key``, built once per chip design.
 
         Built from a plain :class:`BlockGraph`: topology, fabricated
         weights and systematic errors, and (compiled on first solve)
         the level plan.  A fault never changes any of that, so the
-        structure survives :meth:`invalidate_templates` (its own LRU,
-        same capacity).
+        structure survives :meth:`invalidate_templates`.  Nor does it
+        depend on anything of the chip but its frozen ``params``,
+        ``nonideality`` and ``timing`` (each graph seeds its own error
+        draws from ``nonideality.seed``), so every chip of one design
+        shares it: a replaced shard or a BIST fault-free twin finds the
+        structures a live chip built (process-wide LRU of
+        ``STRUCTURE_STORE_CAPACITY``).
         """
-        structure = self._structures.get(key)
+        store_key = (self.params, self.nonideality, self.timing, key)
+        structure = _STRUCTURES.get(store_key)
         if structure is None:
             structure = build(
                 BlockGraph(nonideality=self.nonideality, timing=self.timing)
             )
-            self._structures[key] = structure
-            if len(self._structures) > self._template_capacity:
-                self._structures.popitem(last=False)
+            _STRUCTURES[store_key] = structure
+            if len(_STRUCTURES) > STRUCTURE_STORE_CAPACITY:
+                _STRUCTURES.popitem(last=False)
         else:
-            self._structures.move_to_end(key)
+            _STRUCTURES.move_to_end(store_key)
         return structure
 
     def _faulted(self, structure: _GraphTemplate) -> _GraphTemplate:

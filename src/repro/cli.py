@@ -12,7 +12,8 @@ Commands
 ``serve-bench``  replay a mixed query stream through the pool
 ``bench``     engine benchmark: vectorized execution engine vs the
               seed engine (Jacobi sweeps, per-query graph rebuilds),
-              emitting ``BENCH_engine.json``
+              emitting ``BENCH_engine.json`` (``--smoke``:
+              ``BENCH_smoke.json``)
 ``faults``    fault-injection campaign: inject → BIST → repair →
               re-serve, reporting detection/repair rates and the
               served-accuracy curve
@@ -127,8 +128,12 @@ def _add_bench(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--out",
-        default="BENCH_engine.json",
-        help="output JSON path (default BENCH_engine.json)",
+        default=None,
+        help=(
+            "output JSON path (default BENCH_engine.json; with --smoke "
+            "BENCH_smoke.json, so a local CI run leaves the recorded "
+            "full-run figures alone)"
+        ),
     )
     p.add_argument(
         "--json",
@@ -454,13 +459,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_engine_bench(
         smoke=args.smoke, repeats=args.repeats, seed=args.seed
     )
-    with open(args.out, "w") as fh:
+    out = args.out
+    if out is None:
+        out = "BENCH_smoke.json" if args.smoke else "BENCH_engine.json"
+    with open(out, "w") as fh:
         fh.write(report.to_json(indent=2) + "\n")
     if args.json:
         print(report.to_json(indent=2))
     else:
         print(report.table())
-        print(f"-- wrote {args.out}")
+        print(f"-- wrote {out}")
     if not report.ok:
         # The template-cached levelized path is no longer what a stock
         # accelerator serves, the engines disagree (both make the

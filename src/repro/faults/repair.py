@@ -11,10 +11,10 @@ The closed loop's third stage.  For every faulty site of a chip's
   floor, not at zero).
 * **Stuck sites** are put through the same loop; a pinned device
   ignores every modulation pulse, the loop exhausts its iteration
-  budget with a :class:`~repro.errors.TuningError`, and the site is
-  *disabled* — the controller remaps stages onto the remaining
-  healthy sites and the usable array shrinks (extra tiling passes
-  instead of wrong distances).
+  budget without converging, and the site is *disabled* — the
+  controller remaps stages onto the remaining healthy sites and the
+  usable array shrinks (extra tiling passes instead of wrong
+  distances).
 * **Chip-level converter offsets** (ADC reference, comparator
   thresholds) are auto-zero trimmed.
 """
@@ -28,20 +28,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..memristor.device import Memristor
-from ..memristor.tuning import TuningConfig, tune_ratio
-from ..errors import FaultInjectionError, TuningError
+from ..memristor.tuning import NoiseStream, TuningConfig, modulate_verify
+from ..errors import FaultInjectionError
 from .state import STUCK_NAMES, STUCK_NONE, FaultState
-
-
-class _StuckMemristor(Memristor):
-    """A pinned device: programming pulses do not move it."""
-
-    def __init__(self, params, resistance: float) -> None:
-        super().__init__(params)
-        super().set_resistance(resistance)
-
-    def set_resistance(self, resistance: float) -> None:
-        pass  # filament ruptured / permanently formed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,6 +104,75 @@ def _site_kind(state: FaultState, site: int) -> str:
     return "mismatch"
 
 
+def _repair_site(
+    state: FaultState,
+    site: int,
+    r_ref: float,
+    reference: Memristor,
+    config: TuningConfig,
+    stuck_config: TuningConfig,
+    noise: NoiseStream,
+) -> SiteRepair:
+    """Re-tune one faulty site against ``reference`` (at ``r_ref``),
+    or disable it when the loop cannot converge."""
+    device = state.device
+    kind = _site_kind(state, site)
+    if int(state.stuck[site]) != STUCK_NONE:
+        pinned_r = device.r_on if kind == "stuck-at-ron" else device.r_off
+        # Filament ruptured / permanently formed: the pulses do not
+        # move it.
+        stuck_device = Memristor(device)
+        stuck_device.set_resistance(pinned_r)
+        _, converged = modulate_verify(
+            stuck_device, reference, 1.0, stuck_config, noise, pinned=True
+        )
+        if converged:  # pragma: no cover - a pinned device cannot tune
+            raise FaultInjectionError(
+                f"stuck site {site} tuned successfully; the "
+                "stuck model is broken"
+            )
+        state.disable_site(site)
+        return SiteRepair(
+            site=site,
+            kind=kind,
+            outcome="dead",
+            residual_error=abs(pinned_r / r_ref - 1.0),
+            iterations=stuck_config.max_iterations,
+        )
+
+    # Drift / lost-pair mismatch: the device moved but still moves —
+    # rebuild it at its drifted resistance and re-tune the ratio back
+    # to 1 (nominal).
+    drifted_factor = float(state.drift[site] * state.mismatch[site])
+    drifted = Memristor(device)
+    # Scalar clamp: ``np.clip`` on one finite float.
+    drifted.set_resistance(
+        min(max(r_ref * drifted_factor, device.r_on), device.r_off)
+    )
+    result, converged = modulate_verify(
+        drifted, reference, 1.0, config, noise
+    )
+    if not converged:
+        state.disable_site(site)
+        return SiteRepair(
+            site=site,
+            kind=kind,
+            outcome="dead",
+            residual_error=abs(drifted_factor - 1.0),
+            iterations=config.max_iterations,
+        )
+    state.clear_site(site)
+    # The re-tuned ratio keeps the loop's real residual.
+    state.drift[site] = result.achieved_ratio
+    return SiteRepair(
+        site=site,
+        kind=kind,
+        outcome="retuned",
+        residual_error=result.relative_error,
+        iterations=result.iterations,
+    )
+
+
 def recalibrate(
     accelerator,
     config: Optional[TuningConfig] = None,
@@ -158,90 +216,21 @@ def recalibrate(
 
     device = state.device
     r_ref = math.sqrt(device.r_on * device.r_off)
-    repairs: List[SiteRepair] = []
+    reference = Memristor(device)
+    reference.set_resistance(r_ref)
+    stuck_config = dataclasses.replace(
+        config, max_iterations=stuck_iteration_budget
+    )
     rows_before = state.usable_rows()
-
-    for site in state.faulty_sites().tolist():
-        kind = _site_kind(state, site)
-        reference = Memristor(device)
-        reference.set_resistance(r_ref)
-        if int(state.stuck[site]) != STUCK_NONE:
-            pinned_r = (
-                device.r_on
-                if kind == "stuck-at-ron"
-                else device.r_off
+    # One noise stream for the whole pass: the sites draw their write
+    # and verify noise in site order, as scalar draws from ``rng`` did.
+    with NoiseStream(rng) as noise:
+        repairs = [
+            _repair_site(
+                state, site, r_ref, reference, config, stuck_config, noise
             )
-            stuck_device = _StuckMemristor(device, pinned_r)
-            stuck_config = dataclasses.replace(
-                config, max_iterations=stuck_iteration_budget
-            )
-            try:
-                tune_ratio(
-                    stuck_device,
-                    reference,
-                    1.0,
-                    config=stuck_config,
-                    rng=rng,
-                )
-            except TuningError:
-                pass
-            else:  # pragma: no cover - a pinned device cannot tune
-                raise FaultInjectionError(
-                    f"stuck site {site} tuned successfully; the "
-                    "stuck model is broken"
-                )
-            state.disable_site(site)
-            repairs.append(
-                SiteRepair(
-                    site=site,
-                    kind=kind,
-                    outcome="dead",
-                    residual_error=abs(pinned_r / r_ref - 1.0),
-                    iterations=stuck_iteration_budget,
-                )
-            )
-            continue
-
-        # Drift / lost-pair mismatch: the device moved but still
-        # moves — rebuild it at its drifted resistance and re-tune
-        # the ratio back to 1 (nominal).
-        drifted_factor = float(state.drift[site] * state.mismatch[site])
-        drifted = Memristor(device)
-        drifted.set_resistance(
-            float(
-                np.clip(
-                    r_ref * drifted_factor, device.r_on, device.r_off
-                )
-            )
-        )
-        try:
-            result = tune_ratio(
-                drifted, reference, 1.0, config=config, rng=rng
-            )
-        except TuningError:
-            state.disable_site(site)
-            repairs.append(
-                SiteRepair(
-                    site=site,
-                    kind=kind,
-                    outcome="dead",
-                    residual_error=abs(drifted_factor - 1.0),
-                    iterations=config.max_iterations,
-                )
-            )
-            continue
-        state.clear_site(site)
-        # The re-tuned ratio keeps the loop's real residual.
-        state.drift[site] = result.achieved_ratio
-        repairs.append(
-            SiteRepair(
-                site=site,
-                kind=kind,
-                outcome="retuned",
-                residual_error=result.relative_error,
-                iterations=result.iterations,
-            )
-        )
+            for site in state.faulty_sites().tolist()
+        ]
 
     adc_trim = state.adc_offset_v
     comparator_trim = state.comparator_offset_v

@@ -1435,7 +1435,13 @@ class PoolBackend:
         self, function: str, pairs: Sequence, weights, kwargs: Dict
     ) -> np.ndarray:
         """Submit ``pairs`` at paced virtual arrivals, then resolve
-        their values in order."""
+        their values in order.
+
+        No pairs, no drain: an empty call must not serve requests
+        other callers queued on the shared pool.
+        """
+        if len(pairs) == 0:
+            return np.empty(0)
         base = self.pool.virtual_now
         submitted = []
         for index, (p, q) in enumerate(pairs):
@@ -1527,8 +1533,7 @@ class PoolBackend:
         k = len(arrays)
         slots = [(i, j) for i in range(k) for j in range(i + 1, k)]
         pairs = [(arrays[i], arrays[j]) for i, j in slots]
-        # No pairs, no drain: fewer than two series leave the pool be.
-        values = self._serve(function, pairs, None, kwargs) if pairs else []
+        values = self._serve(function, pairs, None, kwargs)
         out = np.zeros((k, k))
         for (i, j), value in zip(slots, values):
             out[i, j] = out[j, i] = value

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
+import repro.accelerator.array as array_module
 from repro.accelerator import (
     AcceleratorParameters,
     DistanceAccelerator,
@@ -16,6 +19,16 @@ from repro.analog import IDEAL, NonidealityModel
 def rng() -> np.random.Generator:
     """Deterministic RNG for test data."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def empty_structure_store(monkeypatch) -> "OrderedDict":
+    """An empty process-wide graph-structure store for one test (the
+    suite's own store comes back afterwards): builds counted per chip
+    then see no structure an earlier test left behind."""
+    store: "OrderedDict" = OrderedDict()
+    monkeypatch.setattr(array_module, "_STRUCTURES", store)
+    return store
 
 
 @pytest.fixture

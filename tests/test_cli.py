@@ -58,3 +58,42 @@ class TestCommands:
         ) == 0
         out = capsys.readouterr().out
         assert "manhattan" in out
+
+
+class TestBenchOutput:
+    """``--smoke`` writes ``BENCH_smoke.json``; the recorded full-run
+    figures in ``BENCH_engine.json`` are only rewritten by full runs."""
+
+    @pytest.fixture
+    def fake_bench(self, monkeypatch, tmp_path):
+        import repro.eval
+        from repro.eval.bench import BenchReport
+
+        def run_engine_bench(smoke, repeats, seed):
+            return BenchReport(
+                cases=[],
+                template_cache_default=True,
+                levelized_default=True,
+                smoke=smoke,
+                seed=seed,
+            )
+
+        monkeypatch.setattr(repro.eval, "run_engine_bench", run_engine_bench)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_smoke_leaves_the_full_run_file_alone(self, fake_bench):
+        assert main(["bench", "--smoke", "--json"]) == 0
+        assert sorted(p.name for p in fake_bench.iterdir()) == [
+            "BENCH_smoke.json"
+        ]
+
+    def test_full_run_writes_bench_engine(self, fake_bench):
+        assert main(["bench", "--json"]) == 0
+        assert sorted(p.name for p in fake_bench.iterdir()) == [
+            "BENCH_engine.json"
+        ]
+
+    def test_out_overrides_both(self, fake_bench):
+        assert main(["bench", "--smoke", "--json", "--out", "x.json"]) == 0
+        assert sorted(p.name for p in fake_bench.iterdir()) == ["x.json"]

@@ -250,7 +250,9 @@ class TestLevelProgram:
         rebound.solve()
         assert rebound._program() is program
 
-    def test_template_compiles_once_across_queries(self, monkeypatch, rng):
+    def test_template_compiles_once_across_queries(
+        self, monkeypatch, rng, empty_structure_store
+    ):
         compiled = []
         original = graph_module._LevelProgram.__init__
 

@@ -410,7 +410,9 @@ class TestStructureCache:
         monkeypatch.setattr(BlockGraph, "freeze", counting)
         return built
 
-    def test_no_builds_after_invalidate(self, monkeypatch):
+    def test_no_builds_after_invalidate(
+        self, monkeypatch, empty_structure_store
+    ):
         built = self._count_builds(monkeypatch)
         chip = _chip()
         rng = np.random.default_rng(2)

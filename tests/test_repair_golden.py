@@ -25,7 +25,7 @@ from repro.accelerator import DistanceAccelerator
 from repro.accelerator.params import PAPER_PARAMS
 from repro.faults import DriftFault, FaultInjector, StuckAtFault, recalibrate
 from repro.memristor.device import Memristor
-from repro.memristor.tuning import TuningConfig, _modulate_towards
+from repro.memristor.tuning import NoiseStream, TuningConfig, _modulate_verify
 
 FIXTURE = pathlib.Path(__file__).with_name("repair_golden.json")
 SEEDS = (3, 11, 2017)
@@ -82,11 +82,19 @@ def test_fixture_covers_dead_and_retuned_sites(expected):
 )
 def test_modulation_clamp_matches_np_clip(current, target):
     """A noise-free pulse lands where ``np.clip`` puts it."""
-    config = TuningConfig(write_gain=1.0, write_noise=0.0)
+    # One round that never meets tolerance: one verify, one pulse.  A
+    # 1-ohm reference makes the pulse's target resistance ``target``.
+    config = TuningConfig(
+        write_gain=1.0, write_noise=0.0, tolerance=-1.0, max_iterations=1
+    )
     device = Memristor()
     device.set_resistance(current)
     start = device.resistance
-    _modulate_towards(device, target, config, np.random.default_rng(0))
+    with NoiseStream(np.random.default_rng(0)) as noise:
+        device.x, _, converged = _modulate_verify(
+            device.x, 1.0, target, device.params, config, noise
+        )
+    assert not converged
     p = device.params
     new_r = start + config.write_gain * (target - start)
     reference = Memristor()

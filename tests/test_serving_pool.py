@@ -562,6 +562,20 @@ class TestPoolBackend:
         assert matrix.shape == (3, 3)
         np.testing.assert_allclose(matrix, matrix.T)
 
+    def test_empty_batch_leaves_other_requests_pending(self, rng):
+        pool = make_pool(n_shards=1)
+        backend = PoolBackend(pool)
+        rid = pool.submit("manhattan", rng.normal(size=8), rng.normal(size=8))
+        out = backend.batch("manhattan", rng.normal(size=8), [])
+        assert out.shape == (0,) and out.dtype == np.float64
+        assert backend.pairwise("manhattan", [rng.normal(size=8)]).shape == (
+            1,
+            1,
+        )
+        # The request queued by another caller is still waiting: the
+        # empty calls did not drain the shared pool.
+        assert [r.request_id for r in pool.drain()] == [rid]
+
     def test_shed_requests_are_retried(self, rng):
         pool = make_pool(
             n_shards=1,
