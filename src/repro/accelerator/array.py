@@ -386,7 +386,16 @@ class DistanceAccelerator:
         """
         if self._read_disturbed():
             return None
-        signature: Tuple[Hashable, ...] = (
+        signature = self._healthy_signature()
+        if self.fault_state is not None:
+            signature += (self, self.fault_epoch)
+        return signature
+
+    def _healthy_signature(self) -> Tuple[Hashable, ...]:
+        """Identity of the values this chip computes with no fault map
+        attached: every fault-free chip built from these fields (its
+        fault-free twin) returns bit-identical results."""
+        return (
             self.params,
             self.nonideality,
             self.timing,
@@ -395,9 +404,6 @@ class DistanceAccelerator:
             self.quantise_io,
             self.solver,
         )
-        if self.fault_state is not None:
-            signature += (self, self.fault_epoch)
-        return signature
 
     def vectorizes(self, function: str, n: int, m: int) -> bool:
         """True when :meth:`compute_many` settles same-shape ``(n, m)``
@@ -672,28 +678,15 @@ class DistanceAccelerator:
         All candidates must share the query's length (row structure).
         Up to ``array_rows`` candidates settle per pass; more
         candidates cost additional passes (counted in ``passes`` and
-        the time model).
+        the time model).  The query loads one DAC row that drives every
+        comparison: this is :meth:`batch_pairs` with each pair holding
+        the one query.
         """
-        config = self._require_row_config(function)
-        if len(candidates) == 0:
-            raise ConfigurationError("no candidates")
-        q_arr = as_sequence(query, "query")
-        n = q_arr.shape[0]
-        pairs = []
-        for k, c in enumerate(candidates):
-            arr = as_sequence(c, f"candidates[{k}]")
-            require_same_length(q_arr, arr)
-            pairs.append((q_arr, arr))
-        w = as_weight_vector(weights, n)
-        # The query loads once; every candidate loads its own row.
-        dac_samples = n * (1 + len(pairs))
-        return self._batch_settle(
-            config,
-            pairs,
-            [w] * len(pairs),
-            threshold,
-            measure_time,
-            dac_samples,
+        pairs, weight_vectors = self._query_pairs(
+            function, query, candidates, weights
+        )
+        return self.batch_pairs(
+            function, pairs, weight_vectors, threshold, measure_time
         )
 
     def batch_pairs(
@@ -711,39 +704,40 @@ class DistanceAccelerator:
         different lengths — settle together.  ``weights`` is either
         ``None`` or one weight vector per pair.  This is the primitive
         the serving layer's dynamic batcher coalesces concurrent
-        queries into.
+        queries into.  The DAC loads each distinct input array once:
+        pairs holding the same array object share its DAC row.
         """
         config = self._require_row_config(function)
-        if len(pairs) == 0:
-            raise ConfigurationError("no pairs")
-        checked = []
-        for k, (p, q) in enumerate(pairs):
-            p_arr = as_sequence(p, f"pairs[{k}][0]")
-            q_arr = as_sequence(q, f"pairs[{k}][1]")
-            require_same_length(p_arr, q_arr)
-            checked.append((p_arr, q_arr))
-        if weights is None:
-            weight_vectors = [
-                as_weight_vector(None, p.shape[0]) for p, _ in checked
-            ]
-        else:
-            if len(weights) != len(checked):
-                raise ConfigurationError(
-                    "need one weight vector per pair; got "
-                    f"{len(weights)} for {len(checked)} pairs"
-                )
-            weight_vectors = [
-                as_weight_vector(w, p.shape[0])
-                for w, (p, _) in zip(weights, checked)
-            ]
-        dac_samples = sum(2 * p.shape[0] for p, _ in checked)
-        return self._batch_settle(
-            config,
-            checked,
-            weight_vectors,
-            threshold,
-            measure_time,
-            dac_samples,
+        template, bound, was_cached = self._batch_template(
+            config, pairs, weights, threshold
+        )
+        _, read, overflow = self._read_out(template, self._solve(bound))
+        values = np.array(
+            [self._decode(config, float(v)) for v in read]
+        )
+
+        t_conv = None
+        if measure_time:
+            # One transient records every candidate tap; the strobe
+            # waits for the slowest row, so take the max.
+            times = measure_convergence_many(
+                bound, [f"cand{k}" for k in range(len(pairs))]
+            )
+            t_conv = max(t for t, _ in times.values())
+        passes = int(np.ceil(len(pairs) / self.usable_rows))
+        # One input slot per distinct array: each loads the DAC once.
+        dac_samples = sum(slot.size for slot in template.slots.values())
+        conversion = self.dac.load_time(
+            dac_samples
+        ) + self.adc.read_time(len(pairs))
+        return BatchResult(
+            function=config.name,
+            values=values,
+            convergence_time_s=t_conv,
+            conversion_time_s=conversion,
+            passes=passes,
+            overflow=bool(overflow),
+            template_cached=was_cached,
         )
 
     def nearest(
@@ -850,25 +844,61 @@ class DistanceAccelerator:
             )
         return config
 
-    def _batch_settle(
+    def _query_pairs(
+        self, function: str, query, candidates: Sequence, weights
+    ) -> "Tuple[List[tuple], List[np.ndarray]]":
+        """:meth:`batch`'s 1-vs-many inputs as :meth:`batch_pairs`
+        pairs and weights: every pair holds the one checked query array
+        and the one weight vector."""
+        self._require_row_config(function)
+        if len(candidates) == 0:
+            raise ConfigurationError("no candidates")
+        q_arr = as_sequence(query, "query")
+        w = as_weight_vector(weights, q_arr.shape[0])
+        return [(q_arr, c) for c in candidates], [w] * len(candidates)
+
+    def _batch_template(
         self,
         config: FunctionConfig,
-        pairs: "List[tuple]",
-        weight_vectors: "List[np.ndarray]",
+        pairs: Sequence,
+        weights,
         threshold: float,
-        measure_time: bool,
-        dac_samples: int,
-    ) -> BatchResult:
-        """One block graph, one settling, one result per pair.
+    ) -> Tuple[_GraphTemplate, FrozenGraph, bool]:
+        """Check ``pairs`` and return ``(template, bound, was_cached)``:
+        the multi-row template of one batched settle, its view bound to
+        the pairs' inputs, and whether the template came from the cache.
 
         The combined multi-row graph keeps the physical semantics (one
         array row of hardware — and one run of fault sites — per pair),
         so the template key must capture everything that shapes it: the
         per-pair lengths, weights, and the input *sharing pattern* (a
         1-vs-many query loads one DAC row driving every comparison).
+        Output ``cand{k}`` taps pair ``k``.
         """
+        if len(pairs) == 0:
+            raise ConfigurationError("no pairs")
+        checked = []
+        for k, (p, q) in enumerate(pairs):
+            p_arr = as_sequence(p, f"pairs[{k}][0]")
+            q_arr = as_sequence(q, f"pairs[{k}][1]")
+            require_same_length(p_arr, q_arr)
+            checked.append((p_arr, q_arr))
+        if weights is None:
+            weight_vectors = [
+                as_weight_vector(None, p.shape[0]) for p, _ in checked
+            ]
+        else:
+            if len(weights) != len(checked):
+                raise ConfigurationError(
+                    "need one weight vector per pair; got "
+                    f"{len(weights)} for {len(checked)} pairs"
+                )
+            weight_vectors = [
+                as_weight_vector(w, p.shape[0])
+                for w, (p, _) in zip(weights, checked)
+            ]
         threshold_v = threshold * self.params.voltage_resolution
-        for p_arr, _q_arr in pairs:
+        for p_arr, _q_arr in checked:
             if p_arr.shape[0] > self.usable_cols:
                 raise ConfigurationError(
                     "batch mode requires the sequence to fit one array "
@@ -880,7 +910,7 @@ class DistanceAccelerator:
         slot_of: Dict[int, int] = {}
         arrays: List[np.ndarray] = []
         pair_slots: List[Tuple[int, int]] = []
-        for p_arr, q_arr in pairs:
+        for p_arr, q_arr in checked:
             for arr in (p_arr, q_arr):
                 if id(arr) not in slot_of:
                     slot_of[id(arr)] = len(arrays)
@@ -928,32 +958,7 @@ class DistanceAccelerator:
                 for j, arr in enumerate(arrays)
             }
         )
-        _, read, overflow = self._read_out(template, self._solve(bound))
-        values = np.array(
-            [self._decode(config, float(v)) for v in read]
-        )
-
-        t_conv = None
-        if measure_time:
-            # One transient records every candidate tap; the strobe
-            # waits for the slowest row, so take the max.
-            times = measure_convergence_many(
-                bound, [f"cand{k}" for k in range(len(pairs))]
-            )
-            t_conv = max(t for t, _ in times.values())
-        passes = int(np.ceil(len(pairs) / self.usable_rows))
-        conversion = self.dac.load_time(
-            dac_samples
-        ) + self.adc.read_time(len(pairs))
-        return BatchResult(
-            function=config.name,
-            values=values,
-            convergence_time_s=t_conv,
-            conversion_time_s=conversion,
-            passes=passes,
-            overflow=bool(overflow),
-            template_cached=was_cached,
-        )
+        return template, bound, was_cached
 
     # -- the settle path -----------------------------------------------------
     def _build(

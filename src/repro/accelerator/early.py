@@ -8,7 +8,8 @@ obtained in the convergence state."  The paper samples at one tenth of
 the convergence time and books the 10x as part of the HamD/MD speedup
 in Fig. 6(a).
 
-:func:`early_rank` reproduces the mechanism on simulated waveforms;
+:func:`early_rank` reproduces the mechanism on the simulated waveforms
+of a chip's :meth:`~repro.accelerator.DistanceAccelerator.batch` graph;
 :func:`early_nearest_neighbour` applies it to classification, the
 paper's own example.
 """
@@ -16,15 +17,15 @@ paper's own example.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike, NDArray
 
-from ..analog import BlockGraph, transient, dc_solve, suggest_dt
+from ..analog import transient, suggest_dt
 from ..errors import ConfigurationError
-from ..validation import as_sequence, as_weight_vector, require_same_length
-from .params import AcceleratorParameters, PAPER_PARAMS
-from .pe import build_hamming_graph, build_manhattan_graph
+from .array import DistanceAccelerator
+from .configurations import get_config
 
 #: The paper's Early Point: one tenth of the convergence time.
 EARLY_FRACTION = 0.1
@@ -53,8 +54,8 @@ class EarlyDecision:
     final_ranking: List[int]
     early_time_s: float
     full_time_s: float
-    early_values: np.ndarray
-    final_values: np.ndarray
+    early_values: NDArray[np.float64]
+    final_values: NDArray[np.float64]
 
     @property
     def consistent(self) -> bool:
@@ -68,70 +69,46 @@ class EarlyDecision:
 
 
 def early_rank(
-    query,
-    candidates: Sequence,
+    query: ArrayLike,
+    candidates: Sequence[ArrayLike],
     function: str = "manhattan",
-    weights=None,
+    weights: Optional[ArrayLike] = None,
     threshold: float = 0.0,
-    params: AcceleratorParameters = PAPER_PARAMS,
     early_fraction: float = EARLY_FRACTION,
-    nonideality=None,
-    timing=None,
+    accelerator: Optional[DistanceAccelerator] = None,
 ) -> EarlyDecision:
     """Rank candidates against a query using early determination.
 
-    Builds one row-structure instance per candidate inside a single
-    block graph (they share the input edge and settle simultaneously,
-    exactly the Fig. 3 scenario), simulates the transient once, and
-    reads all outputs at the Early Point and at full convergence.
+    Lays out one row-structure instance per candidate in the chip's
+    :meth:`~DistanceAccelerator.batch` template (they share the query's
+    DAC row and settle simultaneously, exactly the Fig. 3 scenario),
+    simulates its transient once, and reads all outputs at the Early
+    Point and at full convergence.  ``accelerator`` is the chip — its
+    converters, fault map and template cache apply; the default is an
+    ideal-converter chip (``quantise_io=False``), as Fig. 3 shows.
     """
-    if function not in ("manhattan", "hamming"):
-        raise ConfigurationError(
-            "early determination applies to the row structure "
-            "(manhattan / hamming) only"
-        )
-    if len(candidates) == 0:
-        raise ConfigurationError("need at least one candidate")
     if not 0.0 < early_fraction <= 1.0:
         raise ConfigurationError("early_fraction must be in (0, 1]")
-
-    q_arr = as_sequence(query, "query")
-    cand_arrs = [as_sequence(c, f"candidate[{k}]") for k, c in enumerate(candidates)]
-    for c in cand_arrs:
-        require_same_length(q_arr, c)
-    n = q_arr.shape[0]
-    w = as_weight_vector(weights, n)
-    threshold_v = threshold * params.voltage_resolution
-
-    from ..analog import DEFAULT_NONIDEALITY, DEFAULT_TIMING
-
-    graph = BlockGraph(
-        nonideality=nonideality or DEFAULT_NONIDEALITY,
-        timing=timing or DEFAULT_TIMING,
+    chip = (
+        DistanceAccelerator(quantise_io=False)
+        if accelerator is None
+        else accelerator
     )
-    qv = params.encode(q_arr)
-    q_ids = [graph.const(v) for v in qv]
-    for k, c in enumerate(cand_arrs):
-        cv = params.encode(c)
-        c_ids = [graph.const(v) for v in cv]
-        if function == "hamming":
-            out = build_hamming_graph(
-                graph, q_ids, c_ids, w, params, threshold_v=threshold_v
-            )
-        else:
-            out = build_manhattan_graph(graph, q_ids, c_ids, w, params)
-        graph.mark_output(f"cand{k}", out)
-
-    frozen = graph.freeze()
+    pairs, weight_vectors = chip._query_pairs(
+        function, query, candidates, weights
+    )
+    _, frozen, _ = chip._batch_template(
+        get_config(function), pairs, weight_vectors, threshold
+    )
     dt = suggest_dt(frozen)
     window = max(
         14.0 * float(np.max(frozen.critical_tau)),
         60.0 * float(np.max(frozen.tau)),
     )
     result = transient(frozen, t_stop=window, dt=dt)
-    names = [f"cand{k}" for k in range(len(cand_arrs))]
+    names = [f"cand{k}" for k in range(len(pairs))]
     t_full = max(
-        result.convergence_time(name, params.convergence_tolerance)
+        result.convergence_time(name, chip.params.convergence_tolerance)
         for name in names
     )
     t_early = early_fraction * t_full
@@ -152,10 +129,10 @@ def early_rank(
 
 
 def early_nearest_neighbour(
-    query,
-    candidates: Sequence,
+    query: ArrayLike,
+    candidates: Sequence[ArrayLike],
     function: str = "manhattan",
-    **kwargs,
+    **kwargs: Any,
 ) -> int:
     """Index of the nearest candidate decided at the Early Point."""
     return early_rank(query, candidates, function=function, **kwargs).early_ranking[0]

@@ -175,18 +175,11 @@ class BistRunner:
         return {}
 
     # -- golden outputs ----------------------------------------------------
-    def _twin_key(self, accelerator: DistanceAccelerator) -> Tuple:
-        return (
-            accelerator.params,
-            accelerator.nonideality,
-            accelerator.quantise_io,
-        )
-
     def golden(
         self, accelerator: DistanceAccelerator
     ) -> Dict[str, List[float]]:
         """Fault-free settles of the probe set for this chip design."""
-        key = self._twin_key(accelerator)
+        key = accelerator._healthy_signature()
         if key not in self._golden_cache:
             twin = DistanceAccelerator(
                 params=accelerator.params,
@@ -195,6 +188,7 @@ class BistRunner:
                 dac=accelerator.dac,
                 adc=accelerator.adc,
                 quantise_io=accelerator.quantise_io,
+                solver=accelerator.solver,
                 validate=False,
             )
             out: Dict[str, List[float]] = {}

@@ -150,6 +150,21 @@ class TestBatchMethods:
                 sw.manhattan(p, q, weights=w), abs=1e-8
             )
 
+    def test_shared_query_pairs_bill_like_batch(self, rng):
+        # 32 pairs of n = 16 holding one query object: the DAC loads
+        # the query once and each candidate once (528 samples, past the
+        # 256 lanes), exactly what batch bills for the same inputs.
+        chip = DistanceAccelerator()
+        q = rng.normal(size=16)
+        cands = [rng.normal(size=16) for _ in range(32)]
+        pairs = chip.batch_pairs("manhattan", [(q, c) for c in cands])
+        batch = chip.batch("manhattan", q, cands)
+        assert pairs.conversion_time_s == batch.conversion_time_s
+        assert pairs.conversion_time_s == (
+            chip.dac.load_time(16 * 33) + chip.adc.read_time(32)
+        )
+        np.testing.assert_array_equal(pairs.values, batch.values)
+
 
 class TestSupplyRailSaturation:
     def test_unbounded_by_default(self):

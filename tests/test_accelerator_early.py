@@ -1,14 +1,21 @@
 """Tests for early determination (Section 3.3(1), Fig. 3)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.accelerator import (
     EARLY_FRACTION,
+    DistanceAccelerator,
     early_nearest_neighbour,
     early_rank,
 )
+from repro.accelerator.params import PAPER_PARAMS
 from repro.errors import ConfigurationError
+from repro.faults import DriftFault, FaultInjector, StuckAtFault
+
+SMALL = dataclasses.replace(PAPER_PARAMS, array_rows=12, array_cols=12)
 
 
 class TestEarlyRank:
@@ -74,6 +81,32 @@ class TestEarlyRank:
     def test_empty_ndarray_candidates_rejected(self, rng):
         with pytest.raises(ConfigurationError, match="candidate"):
             early_rank(rng.normal(size=4), np.empty((0, 4)))
+
+    def test_faulted_chip_ranks_like_its_batch(self, rng):
+        # Early determination settles the chip's own batch template, so
+        # a faulted chip's converged ranking is its batch ranking.
+        chip = DistanceAccelerator(params=SMALL, quantise_io=False)
+        FaultInjector(
+            [
+                StuckAtFault(rate=0.05),
+                DriftFault(rate=1.0, age_s=3.0e7, scale_per_decade=0.003),
+            ],
+            seed=3,
+        ).inject(chip)
+        query = rng.normal(size=10)
+        cands = [query + rng.normal(0, s, 10) for s in (1.5, 0.1, 0.7, 3.0)]
+        decision = early_rank(query, cands, accelerator=chip)
+        values = chip.batch("manhattan", query, cands).values
+        assert decision.final_ranking == list(np.argsort(values))
+        settled = [chip.params.decode(v) for v in decision.final_values]
+        assert settled == pytest.approx(values, rel=1e-9)
+
+    def test_sequence_longer_than_a_row_rejected(self, rng):
+        chip = DistanceAccelerator(params=SMALL, quantise_io=False)
+        with pytest.raises(ConfigurationError, match="fit one array row"):
+            early_rank(
+                rng.normal(size=13), [rng.normal(size=13)], accelerator=chip
+            )
 
     def test_bad_fraction_rejected(self, rng):
         with pytest.raises(ConfigurationError):

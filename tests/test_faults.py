@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.accelerator import DistanceAccelerator
+from repro.accelerator import PAPER_ADC, AdcArray, DistanceAccelerator
 from repro.accelerator.params import PAPER_PARAMS
 from repro.errors import (
     ConfigurationError,
@@ -203,6 +203,20 @@ class TestBist:
     def test_fault_free_chip_probes_exactly_golden(self):
         chip = small_chip()
         report = BistRunner(n_vectors=1, length=8).probe(chip)
+        assert report.is_healthy
+        assert report.max_error == 0.0
+
+    def test_goldens_follow_the_probed_chips_converters(self):
+        # One runner probes a default chip, then a healthy chip with a
+        # 6-bit ADC: the second compares against its own twin's goldens.
+        runner = BistRunner(n_vectors=1, length=8)
+        assert runner.probe(small_chip()).max_error == 0.0
+        coarse = DistanceAccelerator(
+            params=SMALL,
+            adc=AdcArray(dataclasses.replace(PAPER_ADC, bits=6)),
+            validate=False,
+        )
+        report = runner.probe(coarse)
         assert report.is_healthy
         assert report.max_error == 0.0
 
