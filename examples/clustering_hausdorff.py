@@ -13,6 +13,7 @@ Run:  python examples/clustering_hausdorff.py
 import numpy as np
 
 from repro.accelerator import DistanceAccelerator
+from repro.backends import AcceleratorBackend
 from repro.datasets import formalise, load_dataset
 from repro.mining import cluster_series, rand_index
 
@@ -31,13 +32,11 @@ def main() -> None:
             truth.append(label)
     truth = np.array(truth)
 
-    chip = DistanceAccelerator()
+    chip = AcceleratorBackend(DistanceAccelerator())
     runs = {
         "software DTW": dict(distance="dtw", band=0.1),
-        "accelerator DTW": dict(
-            distance=chip.distance("dtw", band=0.1)
-        ),
-        "accelerator HauD": dict(distance=chip.distance("hausdorff")),
+        "accelerator DTW": dict(distance="dtw", band=0.1, backend=chip),
+        "accelerator HauD": dict(distance="hausdorff", backend=chip),
     }
 
     print(
@@ -47,10 +46,7 @@ def main() -> None:
     print(f"{'backend':<18} {'rand index':>11} {'cost':>9} "
           f"{'iters':>6}")
     for name, kwargs in runs.items():
-        distance = kwargs.pop("distance")
-        result = cluster_series(
-            series, N_CLASSES, distance=distance, seed=1, **kwargs
-        )
+        result = cluster_series(series, N_CLASSES, seed=1, **kwargs)
         print(
             f"{name:<18} {rand_index(result.labels, truth):>11.2f} "
             f"{result.cost:>9.2f} {result.iterations:>6}"

@@ -12,6 +12,7 @@ Run:  python examples/ecg_similarity_lcs.py
 import numpy as np
 
 from repro.accelerator import DistanceAccelerator
+from repro.backends import AcceleratorBackend
 from repro.datasets import z_normalise
 from repro.distances import lcs
 
@@ -43,15 +44,14 @@ def ecg_beat(kind: str, rng: np.random.Generator) -> np.ndarray:
 def main() -> None:
     rng = np.random.default_rng(3)
     template = ecg_beat("normal", rng)
-    chip = DistanceAccelerator()
-    score = chip.distance("lcs", threshold=THRESHOLD)
+    chip = AcceleratorBackend(DistanceAccelerator())
 
     print(f"{'beat':<8} {'LCS sw':>7} {'LCS hw':>7} {'similar?':>9}")
     accept = 0.85 * LENGTH  # similarity floor for "normal"
     for kind in ("normal", "normal", "pvc", "flat_t"):
         beat = ecg_beat(kind, rng)
         sw = lcs(template, beat, threshold=THRESHOLD)
-        hw = score(template, beat)
+        hw = chip.compute("lcs", template, beat, threshold=THRESHOLD)
         print(
             f"{kind:<8} {sw:>7.1f} {hw:>7.1f} "
             f"{'yes' if hw >= accept else 'NO':>9}"
@@ -60,7 +60,7 @@ def main() -> None:
     # LCS handles unequal lengths: compare a truncated recording.
     short = ecg_beat("normal", rng)[: LENGTH - 8]
     sw = lcs(template, short, threshold=THRESHOLD)
-    hw = score(template, short)
+    hw = chip.compute("lcs", template, short, threshold=THRESHOLD)
     print(
         f"\ntruncated beat ({LENGTH - 8} samples vs {LENGTH}): "
         f"LCS software {sw:.1f}, accelerator {hw:.1f}"

@@ -14,6 +14,7 @@ Run:  python examples/iris_authentication_hamming.py
 import numpy as np
 
 from repro.accelerator import DistanceAccelerator, early_rank
+from repro.backends import AcceleratorBackend
 from repro.distances import hamming
 
 CODE_LENGTH = 64
@@ -33,8 +34,7 @@ def noisy_probe(code: np.ndarray, flip_rate: float,
 def main() -> None:
     rng = np.random.default_rng(11)
     enrolled = {f"user{k}": iris_code(rng) for k in range(5)}
-    chip = DistanceAccelerator()
-    matcher = chip.distance("hamming", threshold=0.5)
+    matcher = AcceleratorBackend(DistanceAccelerator())
 
     accepts = rejects = errors = 0
     trials = 40
@@ -45,7 +45,9 @@ def main() -> None:
             probe = noisy_probe(enrolled[name], 0.08, rng)
         else:
             probe = iris_code(rng)
-        distance = matcher(probe, enrolled[name])
+        distance = matcher.compute(
+            "hamming", probe, enrolled[name], threshold=0.5
+        )
         accepted = distance / CODE_LENGTH < DECISION_FRACTION
         if accepted == genuine:
             accepts += genuine
@@ -78,7 +80,7 @@ def main() -> None:
 
     # Sanity: accelerator agrees with the software Hamming distance.
     sw = hamming(probe, enrolled[target], threshold=0.5)
-    hw = matcher(probe, enrolled[target])
+    hw = matcher.compute("hamming", probe, enrolled[target], threshold=0.5)
     print(f"software HamD {sw:.0f} vs accelerator {hw:.0f}")
 
 

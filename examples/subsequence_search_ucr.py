@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from repro.accelerator import DistanceAccelerator
-from repro.distances import dtw
+from repro.backends import SoftwareBackend
 from repro.mining import subsequence_search
 
 STREAM = 1500
@@ -35,17 +35,20 @@ def main() -> None:
     # Profile the software search: time inside dtw vs total.
     in_distance = [0.0]
 
-    def timed_dtw(p, q, band=None):
-        start = time.perf_counter()
-        try:
-            return dtw(p, q, band=band)
-        finally:
-            in_distance[0] += time.perf_counter() - start
+    class TimedSoftware(SoftwareBackend):
+        def compute(self, function, p, q, **kwargs):
+            start = time.perf_counter()
+            try:
+                return super().compute(function, p, q, **kwargs)
+            finally:
+                in_distance[0] += time.perf_counter() - start
+
+    timed = TimedSoftware()
 
     start = time.perf_counter()
     result = subsequence_search(
         stream, query, band=BAND, use_lower_bounds=False,
-        dtw_fn=timed_dtw,
+        backend=timed,
     )
     brute_total = time.perf_counter() - start
     print(
@@ -60,9 +63,7 @@ def main() -> None:
     # Lower-bound cascade (software state of the art the paper cites).
     in_distance[0] = 0.0
     start = time.perf_counter()
-    pruned = subsequence_search(
-        stream, query, band=BAND, dtw_fn=timed_dtw
-    )
+    pruned = subsequence_search(stream, query, band=BAND, backend=timed)
     pruned_total = time.perf_counter() - start
     print(
         f"with LB_Kim/LB_Keogh: {pruned.dtw_calls} DTW calls "

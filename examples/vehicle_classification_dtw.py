@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from repro.accelerator import DistanceAccelerator
+from repro.backends import AcceleratorBackend
 from repro.datasets import z_normalise
 from repro.mining import KnnClassifier
 
@@ -59,7 +60,9 @@ def main() -> None:
 
     chip = DistanceAccelerator()
     hardware = KnnClassifier(
-        distance=chip.distance("dtw", band=band)
+        distance="dtw",
+        distance_kwargs={"band": band},
+        backend=AcceleratorBackend(chip),
     ).fit(train_x, train_y)
     hw_acc = hardware.score(test_x, test_y)
 

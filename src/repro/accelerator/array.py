@@ -648,21 +648,6 @@ class DistanceAccelerator:
         )
         return result
 
-    def distance(self, function: str, **fixed) -> Callable[..., float]:
-        """A plain ``fn(p, q, **kw) -> float`` view of one function.
-
-        Drop-in replacement for the :mod:`repro.distances` callables, so
-        the mining layer can run on hardware by swapping one argument.
-        """
-
-        def fn(p, q, **kwargs) -> float:
-            merged = dict(fixed)
-            merged.update(kwargs)
-            return self.compute(function, p, q, **merged).value
-
-        fn.__name__ = f"accelerated_{function}"
-        return fn
-
     # -- row-structure batching ------------------------------------------------
     def batch(
         self,

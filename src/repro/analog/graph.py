@@ -626,8 +626,9 @@ class FrozenGraph:
         self.n_levels = int(self.depth.max()) + 1 if n else 0
         # Lazily built plans.  The structure cache (level plan, lin
         # fan-in groups) is shared by every bind view and value
-        # sibling; the value cache (compiled program, critical-path
-        # taus) by the bind views of one set of values only.
+        # sibling; the value cache (compiled program, per-kind target
+        # runs, critical-path taus) by the bind views of one set of
+        # values only.
         self._structure_cache: Dict[str, object] = {}
         self._value_cache: Dict[str, object] = {}
 
@@ -746,6 +747,27 @@ class FrozenGraph:
             program = _LevelProgram(self)
             self._value_cache["program"] = program
         return program  # type: ignore[return-value]
+
+    def _kind_runs(self) -> List[tuple]:
+        """``(kernel, block ids, kernel args)`` of each non-empty
+        non-const kind, in kind order: what :meth:`targets` evaluates."""
+        runs = self._value_cache.get("kinds")
+        if runs is None:
+            ids = {
+                KIND_LIN: self.lin_ids,
+                KIND_ABSDIFF: self.abs_ids,
+                KIND_MAX: self.max_ids,
+                KIND_MIN: self.min_ids,
+                KIND_MUX: self.mux_ids,
+                KIND_GATE: self.gate_ids,
+            }
+            runs = [
+                (_KERNELS[k][0], ids[k], args)
+                for k, args in _kind_args(self).items()
+                if ids[k].size
+            ]
+            self._value_cache["kinds"] = runs
+        return runs  # type: ignore[return-value]
 
     @property
     def critical_tau(self) -> np.ndarray:
@@ -880,38 +902,8 @@ class FrozenGraph:
         out = np.zeros(v.shape[:-1] + (self.n_blocks,))
         if self.const_ids.size:
             out[..., self.const_ids] = cv
-        if self.lin_ids.size:
-            contrib = v[..., self.lin_src] * self.lin_w
-            sums = np.add.reduceat(contrib, self.lin_ptr, axis=-1)
-            out[..., self.lin_ids] = sums + self.lin_const
-        if self.abs_ids.size:
-            out[..., self.abs_ids] = self.abs_w * np.abs(
-                v[..., self.abs_a] - v[..., self.abs_b]
-            )
-        if self.max_ids.size:
-            out[..., self.max_ids] = np.maximum.reduceat(
-                v[..., self.max_src], self.max_ptr, axis=-1
-            )
-        if self.min_ids.size:
-            out[..., self.min_ids] = np.minimum.reduceat(
-                v[..., self.min_src], self.min_ptr, axis=-1
-            )
-        if self.mux_ids.size:
-            close = (
-                np.abs(v[..., self.mux_a] - v[..., self.mux_b])
-                <= self.mux_thr
-            )
-            out[..., self.mux_ids] = np.where(
-                close, v[..., self.mux_t], v[..., self.mux_f]
-            )
-        if self.gate_ids.size:
-            far = (
-                np.abs(v[..., self.gate_a] - v[..., self.gate_b])
-                > self.gate_thr
-            )
-            out[..., self.gate_ids] = np.where(
-                far, self.gate_high, self.gate_low
-            )
+        for kernel, ids, args in self._kind_runs():
+            out[..., ids] = kernel(v, *args)
         out = out * self.gain + self.offset
         if self.supply_rail is not None:
             np.clip(out, -self.supply_rail, self.supply_rail, out=out)

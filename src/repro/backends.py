@@ -1,11 +1,11 @@
 """Unified execution backends for the six distance functions.
 
-The mining and data-center layers historically special-cased which
-engine they talked to: registered software callables here, an
-accelerator ``.distance()`` closure there, module-level batch helpers
-elsewhere.  :class:`DistanceBackend` is the one protocol they all speak
-now — three operations, mirroring how the paper's architecture is
-actually exercised:
+:class:`DistanceBackend` is the only way a mining task reaches a
+distance engine: every entry point of :mod:`repro.mining` takes a
+registered function name plus ``backend=`` (``None`` is
+:class:`SoftwareBackend`) and computes every distance through one of
+three operations, mirroring how the paper's architecture is actually
+exercised:
 
 ``compute``
     one distance (the matrix structure's unit of work),

@@ -181,14 +181,6 @@ def _add_faults(sub: argparse._SubParsersAction) -> None:
         help="detect and quarantine only; skip recalibration",
     )
     p.add_argument(
-        "--no-template-cache",
-        action="store_true",
-        help=(
-            "rebuild every graph per settle (A/B check of the "
-            "template cache's fault-epoch invalidation)"
-        ),
-    )
-    p.add_argument(
         "--smoke",
         action="store_true",
         help="the small CI preset (one rate, one function, 2 shards)",
@@ -503,7 +495,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             array_cols=args.array,
             seed=args.seed,
             auto_repair=not args.no_repair,
-            use_template_cache=not args.no_template_cache,
             **kwargs,
         )
     if args.json:

@@ -14,6 +14,7 @@ from .synthetic import (
     generate_dataset,
     list_datasets,
     load_dataset,
+    retrieval_workload,
 )
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "list_datasets",
     "load_dataset",
     "resample",
+    "retrieval_workload",
     "sample_pairs",
     "z_normalise",
 ]

@@ -196,3 +196,24 @@ def load_dataset(name: str) -> Dataset:
 def list_datasets() -> List[str]:
     """Names of the available datasets."""
     return sorted(UCR_SPECS)
+
+
+def retrieval_workload(
+    rng: np.random.Generator,
+    n_queries: int,
+    n_candidates: int,
+    length: int,
+    query_noise: float,
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """A 1-NN retrieval workload: ``(queries, candidates)``.
+
+    A bank of standard-normal templates, and probes that are each a
+    randomly chosen template plus Gaussian noise of ``query_noise``.
+    The fault campaign and the chaos harness serve this workload.
+    """
+    candidates = [rng.normal(size=length) for _ in range(n_candidates)]
+    queries = []
+    for _ in range(n_queries):
+        base = candidates[int(rng.integers(n_candidates))]
+        queries.append(base + rng.normal(0.0, query_noise, size=length))
+    return queries, candidates

@@ -101,6 +101,10 @@ def register_distance(
 
 def canonical_name(name: str) -> str:
     """Resolve a distance alias to its canonical registry key."""
+    if not isinstance(name, str):
+        raise ConfigurationError(
+            f"expected a registered distance name, got {name!r}"
+        )
     key = ALIASES.get(name.strip().lower())
     if key is None:
         raise ConfigurationError(

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..accelerator import DistanceAccelerator
+from ..backends import AcceleratorBackend
 from ..datasets import formalise, load_dataset
 from ..mining import KnnClassifier
 from .fig5 import EVAL_THRESHOLD
@@ -91,7 +92,9 @@ def run_accuracy_comparison(
                 distance=function, distance_kwargs=kwargs
             ).fit(train_x, train_y)
             hardware = KnnClassifier(
-                distance=accelerator.distance(function, **kwargs)
+                distance=function,
+                distance_kwargs=kwargs,
+                backend=AcceleratorBackend(accelerator),
             ).fit(train_x, train_y)
             sw_pred = software.predict(test_x)
             hw_pred = hardware.predict(test_x)

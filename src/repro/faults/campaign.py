@@ -30,23 +30,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import distances as sw
 from ..accelerator import DistanceAccelerator
 from ..accelerator.configurations import get_config
 from ..accelerator.params import PAPER_PARAMS
+from ..backends import SoftwareBackend
+from ..datasets import retrieval_workload
 from ..errors import ConfigurationError, ShardUnhealthyError
 from ..serving import AcceleratorPool, PoolConfig
 from .inject import FaultInjector
 from .models import DriftFault, FaultModel, StuckAtFault
-
-_SOFTWARE = {
-    "dtw": sw.dtw,
-    "lcs": sw.lcs,
-    "edit": sw.edit,
-    "hausdorff": sw.hausdorff,
-    "hamming": sw.hamming,
-    "manhattan": sw.manhattan,
-}
 
 #: Stuck-at probabilities swept by default (the paper-scale question
 #: is "up to 2 % hard faults per shard").
@@ -190,26 +182,6 @@ class CampaignResult:
         return "\n".join(lines)
 
 
-def _workload(
-    rng: np.random.Generator,
-    n_queries: int,
-    n_candidates: int,
-    length: int,
-    query_noise: float,
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Template bank + noisy probes of known nearest templates."""
-    candidates = [
-        rng.normal(size=length) for _ in range(n_candidates)
-    ]
-    queries = []
-    for _ in range(n_queries):
-        base = candidates[int(rng.integers(n_candidates))]
-        queries.append(
-            base + rng.normal(0.0, query_noise, size=length)
-        )
-    return queries, candidates
-
-
 def _reference_tables(
     functions: Sequence[str],
     queries: Sequence[np.ndarray],
@@ -226,10 +198,7 @@ def _reference_tables(
         )
         tables[function] = np.array(
             [
-                [
-                    _SOFTWARE[function](query, cand, **kwargs)
-                    for cand in candidates
-                ]
+                SoftwareBackend().batch(function, query, candidates, **kwargs)
                 for query in queries
             ]
         )
@@ -338,22 +307,19 @@ def run_campaign(
     auto_repair: bool = True,
     bist_vectors: int = 1,
     bist_length: int = 8,
-    use_template_cache: bool = True,
 ) -> CampaignResult:
     """Sweep fault rates through the full inject→detect→repair loop.
 
     ``models`` overrides the per-rate :func:`default_scenario` with a
     fixed scenario (the ``rates`` then only vary the injection seed).
     Campaign chips use a small PE array so the BIST probe set covers
-    every physical site.  ``use_template_cache=False`` forces every
-    shard to rebuild graphs per settle — slower, but a useful A/B
-    when auditing the cache's fault-epoch invalidation.
+    every physical site.
     """
     if len(rates) == 0:
         raise ConfigurationError("need at least one fault rate")
     functions = tuple(get_config(f).name for f in functions)
     rng = np.random.default_rng(seed)
-    queries, candidates = _workload(
+    queries, candidates = retrieval_workload(
         rng, n_queries, n_candidates, length, query_noise
     )
     references = _reference_tables(
@@ -375,9 +341,7 @@ def run_campaign(
             n_shards=n_shards,
             config=pool_config,
             accelerator_factory=lambda: DistanceAccelerator(
-                params=params,
-                validate=False,
-                use_template_cache=use_template_cache,
+                params=params, validate=False
             ),
         )
         baseline = _serve_phase(

@@ -10,10 +10,11 @@ produces.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..backends import resolve_backend
 from ..distances.base import get_distance
 from ..errors import ConfigurationError, DatasetError
 from ..validation import as_sequence
@@ -32,28 +33,25 @@ class ClusteringResult:
 
 def pairwise_distances(
     series: Sequence,
-    distance="dtw",
+    distance: str = "dtw",
+    backend=None,
     **distance_kwargs,
 ) -> np.ndarray:
-    """Symmetric pairwise distance matrix for a collection of series."""
-    if callable(distance):
-        fn = distance
-        similarity = False
-    else:
-        info = get_distance(distance)
-        fn, similarity = info.fn, info.similarity
+    """Symmetric pairwise distance matrix for a collection of series.
+
+    ``distance`` is a registered name; ``backend`` (a
+    :class:`repro.backends.DistanceBackend` or name, ``None`` for the
+    software reference) computes the matrix in one ``pairwise`` call.
+    """
+    similarity = get_distance(distance).similarity
     arrs = [as_sequence(s, f"series[{i}]") for i, s in enumerate(series)]
-    k = len(arrs)
-    out = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = fn(arrs[i], arrs[j], **distance_kwargs)
-            if similarity:
-                d = -d
-            out[i, j] = out[j, i] = d
+    out = resolve_backend(backend).pairwise(
+        distance, arrs, **distance_kwargs
+    )
     if similarity:
-        # Shift similarity-derived values so the matrix is a
+        # Negate and shift similarity values so the matrix is a
         # non-negative dissimilarity.
+        out = -out
         out -= out.min()
         np.fill_diagonal(out, 0.0)
     return out
@@ -115,12 +113,15 @@ def k_medoids(
 def cluster_series(
     series: Sequence,
     n_clusters: int,
-    distance="dtw",
+    distance: str = "dtw",
     seed: int = 0,
+    backend=None,
     **distance_kwargs,
 ) -> ClusteringResult:
     """Convenience: pairwise matrix + k-medoids in one call."""
-    matrix = pairwise_distances(series, distance, **distance_kwargs)
+    matrix = pairwise_distances(
+        series, distance, backend=backend, **distance_kwargs
+    )
     return k_medoids(matrix, n_clusters, seed=seed)
 
 

@@ -2,16 +2,18 @@
 
 The classic 1-NN + distance-function pipeline the paper's motivating
 applications use (vehicle classification with DTW [31], iris
-authentication with HamD [29]).  The classifier takes any callable with
-the library's shared distance signature, so the accelerator backend
-(:meth:`repro.accelerator.DistanceAccelerator.distance`) is a drop-in
-replacement for the software reference functions.
+authentication with HamD [29]).  The classifier names a registered
+distance and scores every query through one
+:meth:`~repro.backends.DistanceBackend.batch` call of its backend, so
+the software reference (the default), one chip
+(:class:`~repro.backends.AcceleratorBackend`) and a serving pool
+(:class:`~repro.serving.PoolBackend`) are interchangeable.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -19,16 +21,6 @@ from ..backends import resolve_backend
 from ..distances.base import get_distance
 from ..errors import ConfigurationError, DatasetError
 from ..validation import as_sequence
-
-DistanceCallable = Callable[..., float]
-
-
-def _resolve_distance(distance) -> "tuple[DistanceCallable, bool]":
-    """Accept a name or a callable; return (fn, larger_is_similar)."""
-    if callable(distance):
-        return distance, False
-    info = get_distance(distance)
-    return info.fn, info.similarity
 
 
 @dataclasses.dataclass
@@ -38,46 +30,32 @@ class KnnClassifier:
     Parameters
     ----------
     distance:
-        A registered distance name (``"dtw"``) or any callable
-        ``fn(p, q, **kwargs) -> float``.
+        A registered distance name (``"dtw"``); similarity scores
+        (LCS) rank largest first, as the registry records.
     k:
         Neighbour count (1 reproduces the UCR evaluation protocol).
-    larger_is_similar:
-        Set for similarity scores (LCS); auto-detected for registered
-        names.
     distance_kwargs:
         Extra keyword arguments forwarded to every distance call
         (threshold, band, ...).
     backend:
-        Optional :class:`repro.backends.DistanceBackend` (or name:
-        ``"software"``, ``"accelerator"``) that executes the distance
-        calls.  Scoring a query then goes through one ``batch()`` call
-        — on the accelerator and pool backends that is the row
-        structure's 1-vs-many settle.  Requires ``distance`` to be a
-        registered name.
+        The :class:`repro.backends.DistanceBackend` (or name:
+        ``"software"``, ``"accelerator"``, ``"pool"``) that executes
+        the distance calls; ``None`` is the software reference.
+        Scoring a query is one ``batch()`` call — on the accelerator
+        and pool backends that is the row structure's 1-vs-many
+        settle.
     """
 
-    distance: object = "dtw"
+    distance: str = "dtw"
     k: int = 1
-    larger_is_similar: Optional[bool] = None
     distance_kwargs: Optional[dict] = None
     backend: object = None
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
-        self._backend = None
-        if self.backend is not None:
-            if not isinstance(self.distance, str):
-                raise ConfigurationError(
-                    "backend routing needs a registered distance "
-                    "name, not a callable"
-                )
-            self._backend = resolve_backend(self.backend)
-        fn, similarity = _resolve_distance(self.distance)
-        self._fn = fn
-        if self.larger_is_similar is None:
-            self.larger_is_similar = similarity
+        self._similarity = get_distance(self.distance).similarity
+        self._backend = resolve_backend(self.backend)
         self._kwargs = dict(self.distance_kwargs or {})
         self._x: List[np.ndarray] = []
         self._y: Optional[np.ndarray] = None
@@ -93,20 +71,12 @@ class KnnClassifier:
         return self
 
     def _scores(self, query: np.ndarray) -> np.ndarray:
-        if self._backend is not None:
-            scores = np.asarray(
-                self._backend.batch(
-                    self.distance, query, self._x, **self._kwargs
-                )
+        scores = np.asarray(
+            self._backend.batch(
+                self.distance, query, self._x, **self._kwargs
             )
-        else:
-            scores = np.array(
-                [
-                    self._fn(query, ref, **self._kwargs)
-                    for ref in self._x
-                ]
-            )
-        return -scores if self.larger_is_similar else scores
+        )
+        return -scores if self._similarity else scores
 
     def kneighbors(self, query) -> np.ndarray:
         """Indices of the k nearest training instances."""
@@ -138,7 +108,7 @@ class KnnClassifier:
 def leave_one_out_accuracy(
     x: Sequence,
     y,
-    distance="dtw",
+    distance: str = "dtw",
     k: int = 1,
     backend=None,
     **distance_kwargs,
@@ -148,8 +118,7 @@ def leave_one_out_accuracy(
     y_arr = np.asarray(y)
     if len(x_arrs) != y_arr.shape[0]:
         raise DatasetError("x and y lengths differ")
-    if backend is not None:
-        backend = resolve_backend(backend)
+    backend = resolve_backend(backend)
     correct = 0
     for i in range(len(x_arrs)):
         rest_x = x_arrs[:i] + x_arrs[i + 1 :]

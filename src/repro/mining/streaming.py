@@ -18,11 +18,11 @@ candidate still needs a full DTW — the >99 % bottleneck.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..distances.dtw import dtw
+from ..backends import resolve_backend
 from ..distances.lower_bounds import keogh_envelope, lb_kim
 from ..errors import SequenceError
 from ..validation import as_sequence
@@ -93,7 +93,7 @@ def streaming_subsequence_search(
     series,
     query,
     band: Optional[float] = 0.05,
-    dtw_fn: Optional[Callable[..., float]] = None,
+    backend=None,
     use_lb_kim: bool = True,
 ) -> StreamingSearchResult:
     """UCR-suite style search over all windows of ``series``.
@@ -102,16 +102,17 @@ def streaming_subsequence_search(
     :func:`repro.mining.subsequence_search` with normalisation and
     bounds enabled, but with O(1) window statistics and
     early-abandoning LB_Keogh — the version that scales to streams.
-    ``use_lb_kim=False`` disables the first cascade stage (bound
-    ablations).
+    ``backend`` (a :class:`repro.backends.DistanceBackend` or name;
+    ``None`` is the software reference) runs each surviving full DTW
+    through its ``compute``.  ``use_lb_kim=False`` disables the first
+    cascade stage (bound ablations).
     """
     series_arr = as_sequence(series, "series")
     query_arr = z_normalise(as_sequence(query, "query"))
     m = query_arr.shape[0]
     if m > series_arr.shape[0]:
         raise SequenceError("query longer than the series")
-    if dtw_fn is None:
-        dtw_fn = dtw
+    backend = resolve_backend(backend)
     stats = RunningWindowStats(series_arr, m)
     upper, lower = keogh_envelope(query_arr, band=band)
 
@@ -138,7 +139,7 @@ def streaming_subsequence_search(
         if bound >= best_distance:
             keogh_pruned += 1
             continue
-        distance = dtw_fn(window, query_arr, band=band)
+        distance = backend.compute("dtw", window, query_arr, band=band)
         dtw_calls += 1
         if distance < best_distance:
             best_distance = distance

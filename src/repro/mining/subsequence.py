@@ -13,13 +13,13 @@ profile and how an accelerator changes it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..distances.dtw import dtw
+from ..backends import resolve_backend
 from ..distances.lower_bounds import keogh_envelope, lb_keogh, lb_kim
-from ..errors import ConfigurationError, SequenceError
+from ..errors import SequenceError
 from ..validation import as_sequence
 from ..datasets.preprocessing import z_normalise
 
@@ -62,7 +62,6 @@ def subsequence_search(
     query,
     band: Optional[float] = 0.05,
     use_lower_bounds: bool = True,
-    dtw_fn: Optional[Callable[..., float]] = None,
     normalise: bool = True,
     backend=None,
 ) -> SearchResult:
@@ -74,35 +73,19 @@ def subsequence_search(
         Sakoe-Chiba radius forwarded to DTW and LB_Keogh.
     use_lower_bounds:
         Apply the LB_Kim -> LB_Keogh cascade before full DTW.
-    dtw_fn:
-        Override the full-distance callable (e.g. an accelerator
-        backend); must accept ``(p, q, band=...)``.
     normalise:
         z-normalise the query and every window (UCR protocol).
     backend:
-        Optional :class:`repro.backends.DistanceBackend` (or name)
-        that executes the surviving full-DTW calls; the lower-bound
-        cascade stays in software, mirroring the paper's division of
-        labour.  Mutually exclusive with ``dtw_fn``.
+        The :class:`repro.backends.DistanceBackend` (or name) whose
+        ``compute`` runs each surviving full DTW; ``None`` is the
+        software reference.  The lower-bound cascade stays in
+        software, mirroring the paper's division of labour.
     """
     query_arr = as_sequence(query, "query")
     if normalise:
         query_arr = z_normalise(query_arr)
     windows = sliding_windows(series, query_arr.shape[0])
-    if backend is not None:
-        if dtw_fn is not None:
-            raise ConfigurationError(
-                "pass either dtw_fn or backend, not both"
-            )
-        from ..backends import resolve_backend
-
-        resolved = resolve_backend(backend)
-
-        def dtw_fn(p, q, band=None):
-            return resolved.compute("dtw", p, q, band=band)
-
-    if dtw_fn is None:
-        dtw_fn = dtw
+    backend = resolve_backend(backend)
     envelope = keogh_envelope(query_arr, band=band)
 
     best_distance = np.inf
@@ -124,7 +107,7 @@ def subsequence_search(
             ):
                 keogh_pruned += 1
                 continue
-        distance = dtw_fn(candidate, query_arr, band=band)
+        distance = backend.compute("dtw", candidate, query_arr, band=band)
         dtw_calls += 1
         if distance < best_distance:
             best_distance = distance

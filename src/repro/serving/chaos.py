@@ -45,10 +45,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import distances as sw
 from ..accelerator import DistanceAccelerator
 from ..accelerator.params import PAPER_PARAMS
+from ..backends import SoftwareBackend
 from ..baselines.cpu import modelled_cpu_time
+from ..datasets import retrieval_workload
 from ..errors import ConfigurationError
 from ..faults.inject import FaultInjector
 from ..faults.models import DriftFault, StuckAtFault
@@ -220,21 +221,11 @@ def _workload(
     rng: np.random.Generator, sizes: _Sizes
 ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
     """Template bank, noisy probes, software reference table."""
-    candidates = [
-        rng.normal(size=sizes.length)
-        for _ in range(sizes.n_candidates)
-    ]
-    queries = []
-    for _ in range(sizes.n_queries):
-        base = candidates[int(rng.integers(sizes.n_candidates))]
-        queries.append(
-            base + rng.normal(0.0, 0.25, size=sizes.length)
-        )
+    queries, candidates = retrieval_workload(
+        rng, sizes.n_queries, sizes.n_candidates, sizes.length, 0.25
+    )
     reference = np.array(
-        [
-            [sw.manhattan(query, cand) for cand in candidates]
-            for query in queries
-        ]
+        [SoftwareBackend().batch(FUNCTION, q, candidates) for q in queries]
     )
     return queries, candidates, reference
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro import distances as sw
 from repro.accelerator import DistanceAccelerator
+from repro.backends import AcceleratorBackend
 from repro.errors import LengthMismatchError
 
 FUNCTIONS = ["dtw", "lcs", "edit", "hausdorff", "hamming", "manhattan"]
@@ -135,19 +136,19 @@ class TestApiBehaviour:
         hw = accelerator.compute("manhattan", p, q)
         assert hw.conversion_time_s > 0.0
 
-    def test_distance_view_is_droppable_into_mining(
-        self, ideal_accelerator, rng
-    ):
-        fn = ideal_accelerator.distance("manhattan")
+    def test_backend_compute_matches_software(self, ideal_accelerator, rng):
+        backend = AcceleratorBackend(ideal_accelerator)
         p, q = rng.normal(size=6), rng.normal(size=6)
-        assert fn(p, q) == pytest.approx(sw.manhattan(p, q), abs=1e-8)
-
-    def test_distance_view_fixed_kwargs(self, ideal_accelerator, rng):
-        fn = ideal_accelerator.distance("hamming", threshold=0.5)
-        p, q = rng.normal(size=6), rng.normal(size=6)
-        assert fn(p, q) == pytest.approx(
-            sw.hamming(p, q, threshold=0.5), abs=1e-8
+        assert backend.compute("manhattan", p, q) == pytest.approx(
+            sw.manhattan(p, q), abs=1e-8
         )
+
+    def test_backend_compute_forwards_kwargs(self, ideal_accelerator, rng):
+        backend = AcceleratorBackend(ideal_accelerator)
+        p, q = rng.normal(size=6), rng.normal(size=6)
+        assert backend.compute(
+            "hamming", p, q, threshold=0.5
+        ) == pytest.approx(sw.hamming(p, q, threshold=0.5), abs=1e-8)
 
     def test_overflow_flagged_for_rail_scale_outputs(
         self, ideal_accelerator

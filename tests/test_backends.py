@@ -16,9 +16,16 @@ from repro.backends import (
     resolve_backend,
 )
 from repro.errors import ConfigurationError, SequenceError
-from repro.mining.knn import KnnClassifier, leave_one_out_accuracy
-from repro.mining.subsequence import subsequence_search
-from repro.serving import PoolBackend
+from repro.mining import (
+    KnnClassifier,
+    cluster_series,
+    discover_motifs,
+    leave_one_out_accuracy,
+    pairwise_distances,
+    streaming_subsequence_search,
+    subsequence_search,
+)
+from repro.serving import AcceleratorPool, PoolBackend
 
 FUNCTIONS = ["dtw", "lcs", "edit", "hausdorff", "hamming", "manhattan"]
 
@@ -250,12 +257,110 @@ class TestMiningWiring:
             plain.best_distance
         )
 
-    def test_subsequence_rejects_both_overrides(self, rng):
-        series = rng.normal(size=20)
-        with pytest.raises(ConfigurationError, match="not both"):
-            subsequence_search(
-                series,
-                series[:5],
-                dtw_fn=sw.dtw,
-                backend="software",
+
+def _ideal_chip():
+    return DistanceAccelerator(nonideality=IDEAL, quantise_io=False)
+
+
+#: Every engine a mining task can run on; the chips are ideal, so each
+#: must reproduce the software answer.
+ENGINES = {
+    "software": SoftwareBackend,
+    "accelerator": lambda: AcceleratorBackend(_ideal_chip()),
+    "pool": lambda: PoolBackend(
+        AcceleratorPool(n_shards=2, accelerator_factory=_ideal_chip)
+    ),
+}
+
+
+def _assert_same_fields(result, reference):
+    """Equal discrete fields, float fields within the ideal chip's
+    solver tolerance."""
+    for field in dataclasses.fields(reference):
+        got = getattr(result, field.name)
+        want = getattr(reference, field.name)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, abs=1e-8), field.name
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=field.name)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+class TestEveryEntryPointOnEveryEngine:
+    """Each mining entry point reaches its engine only through the
+    backend, and every engine returns the software answer."""
+
+    @pytest.mark.parametrize("function", ["dtw", "lcs", "hamming", "manhattan"])
+    def test_knn(self, engine, function, rng):
+        x = [rng.normal(size=6) for _ in range(9)]
+        y = [i % 3 for i in range(9)]
+        queries = [rng.normal(size=6) for _ in range(3)]
+        kwargs = _kwargs(function)
+        clf = KnnClassifier(
+            distance=function,
+            k=3,
+            distance_kwargs=kwargs,
+            backend=ENGINES[engine](),
+        ).fit(x, y)
+        ref = KnnClassifier(
+            distance=function, k=3, distance_kwargs=kwargs
+        ).fit(x, y)
+        for query in queries:
+            np.testing.assert_allclose(
+                clf._scores(query), ref._scores(query), atol=1e-8
             )
+            np.testing.assert_array_equal(
+                clf.kneighbors(query), ref.kneighbors(query)
+            )
+        assert leave_one_out_accuracy(
+            x, y, distance=function, backend=ENGINES[engine](), **kwargs
+        ) == leave_one_out_accuracy(x, y, distance=function, **kwargs)
+
+    @pytest.mark.parametrize("function", ["manhattan", "lcs", "hausdorff"])
+    def test_clustering(self, engine, function, rng):
+        series = [rng.normal(size=6) for _ in range(3)]
+        series += [rng.normal(3.0, 1.0, size=6) for _ in range(3)]
+        kwargs = _kwargs(function)
+        matrix = pairwise_distances(
+            series, function, backend=ENGINES[engine](), **kwargs
+        )
+        np.testing.assert_allclose(
+            matrix, pairwise_distances(series, function, **kwargs), atol=1e-8
+        )
+        _assert_same_fields(
+            cluster_series(
+                series, 2, function, backend=ENGINES[engine](), **kwargs
+            ),
+            cluster_series(series, 2, function, **kwargs),
+        )
+
+    def test_subsequence_search(self, engine, rng):
+        series = np.cumsum(rng.normal(size=50))
+        query = series[20:28] + rng.normal(0.0, 0.1, 8)
+        _assert_same_fields(
+            subsequence_search(
+                series, query, band=0.2, backend=ENGINES[engine]()
+            ),
+            subsequence_search(series, query, band=0.2),
+        )
+
+    def test_streaming_subsequence_search(self, engine, rng):
+        series = np.cumsum(rng.normal(size=50))
+        query = series[20:28] + rng.normal(0.0, 0.1, 8)
+        _assert_same_fields(
+            streaming_subsequence_search(
+                series, query, band=0.2, backend=ENGINES[engine]()
+            ),
+            streaming_subsequence_search(series, query, band=0.2),
+        )
+
+    @pytest.mark.parametrize("function", ["manhattan", "dtw"])
+    def test_motifs(self, engine, function, rng):
+        series = np.cumsum(rng.normal(size=24))
+        motifs = discover_motifs(
+            series, 5, k=2, distance=function, backend=ENGINES[engine]()
+        )
+        reference = discover_motifs(series, 5, k=2, distance=function)
+        assert len(motifs) == len(reference) == 2
+        for motif, want in zip(motifs, reference):
+            _assert_same_fields(motif, want)

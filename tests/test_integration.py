@@ -11,8 +11,9 @@ import pytest
 
 from repro.accelerator import DistanceAccelerator
 from repro.analog import IDEAL
+from repro.backends import AcceleratorBackend, SoftwareBackend
 from repro.datasets import formalise, load_dataset
-from repro.distances import dtw, hamming
+from repro.distances import hamming
 from repro.mining import (
     KnnClassifier,
     cluster_series,
@@ -60,9 +61,9 @@ class TestVehicleClassificationDtw:
         test_x = [formalise(s, 16) for s in data.test_x[:6]]
 
         sw_clf = KnnClassifier(distance="dtw").fit(train_x, train_y)
-        hw_clf = KnnClassifier(distance=chip.distance("dtw")).fit(
-            train_x, train_y
-        )
+        hw_clf = KnnClassifier(
+            distance="dtw", backend=AcceleratorBackend(chip)
+        ).fit(train_x, train_y)
         np.testing.assert_array_equal(
             sw_clf.predict(test_x), hw_clf.predict(test_x)
         )
@@ -96,7 +97,7 @@ class TestClusteringAgreement:
         ]
         sw_result = cluster_series(series, 2, distance="manhattan")
         hw_result = cluster_series(
-            series, 2, distance=chip.distance("manhattan")
+            series, 2, distance="manhattan", backend=AcceleratorBackend(chip)
         )
         assert rand_index(sw_result.labels, hw_result.labels) == 1.0
 
@@ -113,7 +114,7 @@ class TestSubsequenceSearchWithAcceleratedDtw:
             series,
             query,
             band=3,
-            dtw_fn=chip.distance("dtw"),
+            backend=AcceleratorBackend(chip),
         )
         assert hw_result.best_index == sw_result.best_index
 
@@ -131,12 +132,13 @@ class TestProfileMotivation:
 
         in_distance = [0.0]
 
-        def timed_dtw(p, q, band=None):
-            start = time.perf_counter()
-            try:
-                return dtw(p, q, band=band)
-            finally:
-                in_distance[0] += time.perf_counter() - start
+        class TimedSoftware(SoftwareBackend):
+            def compute(self, function, p, q, **kwargs):
+                start = time.perf_counter()
+                try:
+                    return super().compute(function, p, q, **kwargs)
+                finally:
+                    in_distance[0] += time.perf_counter() - start
 
         start = time.perf_counter()
         subsequence_search(
@@ -144,7 +146,7 @@ class TestProfileMotivation:
             query,
             band=3,
             use_lower_bounds=False,
-            dtw_fn=timed_dtw,
+            backend=TimedSoftware(),
         )
         total = time.perf_counter() - start
         assert in_distance[0] / total > 0.5

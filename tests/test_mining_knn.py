@@ -36,7 +36,7 @@ class TestKnnClassifier:
         clf = KnnClassifier(
             distance="lcs", distance_kwargs={"threshold": 0.3}
         ).fit(x, y)
-        assert clf.larger_is_similar
+        assert clf._similarity
         queries, labels = small_problem(np.random.default_rng(5))
         assert clf.score(queries, labels) >= 0.75
 
@@ -53,24 +53,23 @@ class TestKnnClassifier:
         assert idx.shape == (3,)
         assert idx[0] == 0  # itself is nearest
 
-    def test_callable_distance(self, rng):
-        from repro.distances import euclidean
-
+    def test_euclidean_distance(self, rng):
         x, y = small_problem(rng)
-        clf = KnnClassifier(distance=euclidean).fit(x, y)
+        clf = KnnClassifier(distance="euclidean").fit(x, y)
         assert clf.predict_one(x[1]) == y[1]
 
     def test_accelerator_backend_drop_in(self, rng):
         from repro.accelerator import DistanceAccelerator
         from repro.analog import IDEAL
+        from repro.backends import AcceleratorBackend
 
         acc = DistanceAccelerator(
             nonideality=IDEAL, quantise_io=False
         )
         x, y = small_problem(rng, n_per_class=3, length=10)
-        hw_clf = KnnClassifier(distance=acc.distance("manhattan")).fit(
-            x, y
-        )
+        hw_clf = KnnClassifier(
+            distance="manhattan", backend=AcceleratorBackend(acc)
+        ).fit(x, y)
         sw_clf = KnnClassifier(distance="manhattan").fit(x, y)
         queries, _ = small_problem(np.random.default_rng(2), 2, 10)
         np.testing.assert_array_equal(

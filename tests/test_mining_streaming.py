@@ -129,12 +129,13 @@ class TestStreamingSearch:
     def test_accelerator_backend(self, rng):
         from repro.accelerator import DistanceAccelerator
         from repro.analog import IDEAL
+        from repro.backends import AcceleratorBackend
 
         chip = DistanceAccelerator(
             nonideality=IDEAL, quantise_io=False
         )
         series, query, offset = self._planted(rng, n=80, m=12)
         result = streaming_subsequence_search(
-            series, query, band=3, dtw_fn=chip.distance("dtw")
+            series, query, band=3, backend=AcceleratorBackend(chip)
         )
         assert abs(result.best_index - offset) <= 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distances import dtw
+from repro.backends import SoftwareBackend
 from repro.errors import SequenceError
 from repro.mining import (
     discover_motifs,
@@ -72,16 +72,17 @@ class TestSubsequenceSearch:
         )
 
     def test_custom_dtw_backend(self, rng):
-        # A counting wrapper stands in for the accelerator backend.
+        # A counting backend stands in for the accelerator backend.
         series, query, offset = series_with_planted_query(rng, n=100)
         calls = []
 
-        def counting_dtw(p, q, band=None):
-            calls.append(1)
-            return dtw(p, q, band=band)
+        class CountingSoftware(SoftwareBackend):
+            def compute(self, function, p, q, **kwargs):
+                calls.append(1)
+                return super().compute(function, p, q, **kwargs)
 
         result = subsequence_search(
-            series, query, band=3, dtw_fn=counting_dtw
+            series, query, band=3, backend=CountingSoftware()
         )
         assert len(calls) == result.dtw_calls
         assert abs(result.best_index - offset) <= 1
@@ -122,3 +123,17 @@ class TestMotifs:
     def test_bad_k_rejected(self, rng):
         with pytest.raises(SequenceError):
             discover_motifs(rng.normal(size=50), window=8, k=0)
+
+    def test_similarity_ranks_largest_first(self, rng):
+        # LCS is a similarity: the planted pair has the most matches.
+        n, m = 80, 12
+        series = rng.normal(0, 1.0, n)
+        pattern = np.sin(np.linspace(0, 2 * np.pi, m)) * 3.0
+        series[5 : 5 + m] = pattern
+        series[50 : 50 + m] = pattern + rng.normal(0, 0.02, m)
+        motifs = discover_motifs(
+            series, window=m, k=2, distance="lcs", threshold=0.1
+        )
+        assert abs(motifs[0].first - 5) <= 1
+        assert abs(motifs[0].second - 50) <= 1
+        assert motifs[0].distance >= motifs[1].distance
