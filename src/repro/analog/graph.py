@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from . import _native
 from .nonideal import (
     DEFAULT_NONIDEALITY,
     DEFAULT_TIMING,
@@ -494,21 +495,121 @@ class _LevelPlan:
                 lo, runs = b, []
 
 
+class _NativeTables:
+    """The index half of a native level program: one int64 table.
+
+    The native kernel settles blocks in ``(depth, kind)`` order, as
+    the NumPy program does, so it meets long runs of one kind; but it
+    reads and writes each block at its own id in the output row, so it
+    needs no renumbering and no final gather.  The table is
+    ``[n_blocks, n_const, max fan-in, n_edges]`` followed by that
+    order (the consts first, by id) and, in that order, each block's
+    kind, its CSR input pointer (plus the end), the input ids and its
+    offset into the value table — so a solve streams through the
+    tables.  Everything depends on topology alone, so one table serves
+    every value sibling; :attr:`slots` are the value-table positions
+    each value field scatters into.
+    """
+
+    __slots__ = ("itab", "address", "n_values", "slots")
+
+    def __init__(self, frozen: "FrozenGraph") -> None:
+        kind = frozen.kind
+        order = np.lexsort((kind, frozen.depth))
+        fan_in = np.diff(frozen.in_ptr, append=frozen.in_src.size)
+        edges, ptr = _gather_edges(frozen.in_ptr, frozen.in_src.size, order)
+        # Value-table slots per block: gain and offset, then the kind's
+        # own values (see _levelprog.c); slot 0 of the table is the rail.
+        count = 2 + np.array([0, 1, 1, 0, 0, 1, 3], dtype=np.intp)[kind]
+        count[frozen.lin_ids] += fan_in[frozen.lin_ids]
+        voff = np.empty_like(count)
+        voff[order] = 1 + np.cumsum(count[order]) - count[order]
+        self.n_values = 1 + int(count.sum())
+        header = [frozen.n_blocks, frozen.const_ids.size,
+                  int(fan_in.max(initial=0)), edges.size]
+        self.itab = np.concatenate(
+            [header, order, kind[order], ptr, [edges.size],
+             frozen.in_src[edges], voff[order]]
+        ).astype(np.int64)
+        self.address = self.itab.ctypes.data
+        lin = voff[frozen.lin_ids]
+        lin_w = np.repeat(
+            lin + 3 - frozen.lin_ptr, fan_in[frozen.lin_ids]
+        ) + np.arange(frozen.lin_src.size)
+        gate = voff[frozen.gate_ids]
+        self.slots = {
+            "gain": voff,
+            "offset": voff + 1,
+            "lin_const": lin + 2,
+            "lin_w": lin_w,
+            "abs_w": voff[frozen.abs_ids] + 2,
+            "mux_thr": voff[frozen.mux_ids] + 2,
+            "gate_thr": gate + 2,
+            "gate_high": gate + 3,
+            "gate_low": gate + 4,
+        }
+
+
+class _NativeProgram:
+    """A graph's values scattered into one float64 table, run by the
+    native kernel: every batch row in one GIL-free call."""
+
+    __slots__ = ("kernel", "tables", "vtab", "address", "n_blocks", "n_const")
+
+    def __init__(self, frozen: "FrozenGraph", kernel: _native.LevelKernel) -> None:
+        tables = frozen._native_tables()
+        vtab = np.empty(tables.n_values)
+        vtab[0] = np.inf if frozen.supply_rail is None else frozen.supply_rail
+        for field, slots in tables.slots.items():
+            vtab[slots] = getattr(frozen, field)
+        self.kernel = kernel
+        self.tables = tables
+        self.vtab = vtab
+        self.address = vtab.ctypes.data
+        self.n_blocks = frozen.n_blocks
+        self.n_const = frozen.const_ids.size
+
+    def run(self, cv: np.ndarray) -> np.ndarray:
+        """Settled voltages, in block order, for source values ``cv``
+        (leading axes batch the solve)."""
+        cv = np.ascontiguousarray(cv, dtype=np.float64)
+        if cv.shape[-1:] != (self.n_const,):
+            raise ConfigurationError(
+                f"const_values last axis must be {self.n_const}; "
+                f"got shape {cv.shape}"
+            )
+        out = np.empty(cv.shape[:-1] + (self.n_blocks,))
+        self.kernel.run(self.tables.address, self.address, cv, out)
+        return out
+
+
 class _LevelProgram:
     """:meth:`FrozenGraph.solve` compiled into one slice-addressed pass.
 
-    The graph's :class:`_LevelPlan` (shared with its value siblings)
-    fixes the block order and every run's index arguments; this adds
-    the graph's own values — each run's weights, constants and
-    thresholds, and each level's gain and offset — as slices of its
-    value arrays gathered once into program order.  Each run writes
-    its raw targets straight into its slice; the level then applies
-    gain, offset and the rail clip in place.
+    This NumPy program is the reference the native kernel reproduces,
+    and the fallback where that kernel is not available.  The graph's
+    :class:`_LevelPlan` (shared with its value siblings) fixes the
+    block order and every run's index arguments; this adds the graph's
+    own values — each run's weights, constants and thresholds, and each
+    level's gain and offset — as slices of its value arrays gathered
+    once into program order.  Each run writes its raw targets straight
+    into its slice; the level then applies gain, offset and the rail
+    clip in place.
+
+    When the native kernel is active (:func:`repro.analog._native.active`)
+    the program compiles to a :class:`_NativeProgram` instead, and
+    :meth:`run` hands every solve to it.
     """
 
-    __slots__ = ("levels", "rank", "n_const", "rail")
+    __slots__ = ("levels", "rank", "n_const", "rail", "native")
 
     def __init__(self, frozen: "FrozenGraph") -> None:
+        native = _native.active()
+        self.native = (
+            None if native is None else _NativeProgram(frozen, native)
+        )
+        if self.native is not None:
+            return
         plan = frozen._plan()
         self.rank = plan.rank
         self.n_const = plan.n_const
@@ -548,6 +649,8 @@ class _LevelProgram:
     def run(self, cv: np.ndarray) -> np.ndarray:
         """Settled voltages, in block order, for source values ``cv``
         (leading axes batch the solve)."""
+        if self.native is not None:
+            return self.native.run(cv)
         v = np.empty(cv.shape[:-1] + (self.rank.size,))
         v[..., : self.n_const] = cv
         rail = self.rail
@@ -741,11 +844,21 @@ class FrozenGraph:
             self._structure_cache["plan"] = plan
         return plan  # type: ignore[return-value]
 
+    def _native_tables(self) -> _NativeTables:
+        tables = self._structure_cache.get("native")
+        if tables is None:
+            tables = _NativeTables(self)
+            self._structure_cache["native"] = tables
+        return tables  # type: ignore[return-value]
+
     def _program(self) -> _LevelProgram:
-        program = self._value_cache.get("program")
+        """The level program compiled for the active kernel: one per
+        kernel, shared by every bind view."""
+        key = "program" if _native.active() is None else "native"
+        program = self._value_cache.get(key)
         if program is None:
             program = _LevelProgram(self)
-            self._value_cache["program"] = program
+            self._value_cache[key] = program
         return program  # type: ignore[return-value]
 
     def _kind_runs(self) -> List[tuple]:

@@ -32,7 +32,13 @@ case:
   and drained, against one bare ``compute_many`` of the same 60 pairs
   on one chip.  The drain settles them in that same one solve, so the
   ratio (below 1) is the share of a drain's host time the chip gets:
-  what the pool's per-request bookkeeping costs on top.
+  what the pool's per-request bookkeeping costs on top.  Both sides
+  solve on the NumPy reference level program: a faster solve would
+  shrink the ratio with the bookkeeping unchanged, so the native kernel
+  would hide what this case gates;
+* ``level_program`` — the knn-shaped settle alone: one DTW n=16 graph
+  bound to 60 source rows and solved by the native level-program
+  kernel, against the NumPy reference program on the same view.
 
 Every case checks bit-identical values between the two engines before
 timing — a benchmark of a wrong answer is worse than no benchmark.
@@ -51,6 +57,8 @@ import numpy as np
 from ..accelerator import DistanceAccelerator
 from ..accelerator.array import clear_structure_store
 from ..accelerator.params import PAPER_PARAMS
+from ..accelerator.pe import build_dtw_graph
+from ..analog import BlockGraph, _native
 from ..faults import DriftFault, FaultInjector, LostPairFault
 from ..serving import AcceleratorPool, PoolConfig
 
@@ -63,7 +71,10 @@ from ..serving import AcceleratorPool, PoolConfig
 #: ``refault_dtw`` must stay far ahead of a faulted rebuild (its floor
 #: is under a third of the 35-40x a 2-vCPU host measures).  A pool
 #: drain of a fan-out must keep its bookkeeping under two thirds of the
-#: chip's own time for the same pairs (``pool_fanout`` >= 0.6).
+#: chip's own time for the same pairs (``pool_fanout`` >= 0.6).  The
+#: native kernel must settle a knn-shaped batch at least twice as fast
+#: as the NumPy program (``level_program``; a 2-vCPU host measures
+#: about 5x).
 SPEEDUP_FLOOR = {
     "single_dtw": 5.0,
     "batch_manhattan": 3.0,
@@ -71,6 +82,7 @@ SPEEDUP_FLOOR = {
     "cold_dtw": 0.6,
     "refault_dtw": 10.0,
     "pool_fanout": 0.6,
+    "level_program": 2.0,
 }
 
 #: Timing repeats the ``pool_fanout`` case takes at least: one drain is
@@ -114,6 +126,9 @@ class BenchReport:
     levelized_default: bool
     smoke: bool
     seed: int
+    #: The level-program kernel solves ran on: ``"native"`` or
+    #: ``"numpy"`` (see :mod:`repro.analog._native`).
+    kernel: str = dataclasses.field(default_factory=_native.kernel_name)
 
     @property
     def equivalent(self) -> bool:
@@ -149,6 +164,7 @@ class BenchReport:
             "ok": self.ok,
             "smoke": self.smoke,
             "seed": self.seed,
+            "kernel": self.kernel,
             "speedup_floors": dict(SPEEDUP_FLOOR),
             "below_floor": self.below_floor,
             "cases": [c.as_dict() for c in self.cases],
@@ -177,7 +193,8 @@ class BenchReport:
             "-- template cache default: "
             f"{'yes' if self.template_cache_default else 'NO'}, "
             f"levelized default: "
-            f"{'yes' if self.levelized_default else 'NO'}"
+            f"{'yes' if self.levelized_default else 'NO'}, "
+            f"level-program kernel: {self.kernel}"
         )
         return "\n".join(lines)
 
@@ -232,7 +249,7 @@ def run_engine_bench(
     repeats: Optional[int] = None,
     seed: int = 0,
 ) -> BenchReport:
-    """Run the seven-case engine benchmark.
+    """Run the eight-case engine benchmark.
 
     ``smoke`` keeps the repeat count minimal for CI; ``repeats``
     overrides it.  The baseline accelerators disable the template
@@ -375,20 +392,49 @@ def run_engine_bench(
     fanout = [(query, series) for query in users for series in train]
 
     def pool_fanout() -> np.ndarray:
-        start = pool.virtual_now
-        for k, (query, series) in enumerate(fanout):
-            arrival = start + (k // len(train)) * 3.0e-7
-            pool.submit("dtw", query, series, arrival_s=arrival)
-        return np.array([r.value for r in pool.drain()])
+        with _native.numpy_reference():
+            start = pool.virtual_now
+            for k, (query, series) in enumerate(fanout):
+                arrival = start + (k // len(train)) * 3.0e-7
+                pool.submit("dtw", query, series, arrival_s=arrival)
+            return np.array([r.value for r in pool.drain()])
+
+    def bare_fanout() -> np.ndarray:
+        with _native.numpy_reference():
+            return np.array(
+                [r.value for r in fast_chip.compute_many("dtw", fanout)]
+            )
 
     cases.append(
         _time_case(
             "pool_fanout",
             pool_fanout,
-            lambda: np.array(
-                [r.value for r in fast_chip.compute_many("dtw", fanout)]
-            ),
+            bare_fanout,
             max(repeats, POOL_FANOUT_MIN_REPEATS),
+        )
+    )
+
+    # 8. The knn-shaped settle: one DTW n=16 graph bound to 60 source
+    #    rows, native kernel against the NumPy reference program.
+    graph = BlockGraph()
+    p_ids = [graph.const(0.0) for _ in range(16)]
+    q_ids = [graph.const(0.0) for _ in range(16)]
+    build_dtw_graph(graph, p_ids, q_ids, np.ones((16, 16)))
+    frozen = graph.freeze()
+    rows = np.tile(frozen.const_values, (60, 1))
+    rows[:, :32] = rng.normal(0.0, 0.05, size=(60, 32))
+    batch = frozen.bind(rows)
+
+    def numpy_solve() -> np.ndarray:
+        with _native.numpy_reference():
+            return batch.solve()
+
+    cases.append(
+        _time_case(
+            "level_program",
+            lambda: batch.solve().view(np.uint64),
+            lambda: numpy_solve().view(np.uint64),
+            repeats,
         )
     )
 

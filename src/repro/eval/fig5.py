@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..accelerator import DistanceAccelerator
-from ..distances import dtw, edit, hamming, hausdorff, lcs, manhattan
+from ..distances import get_distance
 from ..datasets import (
     evaluation_lengths,
     list_datasets,
@@ -37,16 +37,8 @@ from ..datasets import (
 #: reasonable application-agnostic choice.
 EVAL_THRESHOLD = 0.5
 
-_SOFTWARE = {
-    "dtw": dtw,
-    "lcs": lcs,
-    "edit": edit,
-    "hausdorff": hausdorff,
-    "hamming": hamming,
-    "manhattan": manhattan,
-}
-
-ALL_FUNCTIONS = tuple(_SOFTWARE)
+#: The six accelerated functions, in the paper's Fig. 5 panel order.
+ALL_FUNCTIONS = ("dtw", "lcs", "edit", "hausdorff", "hamming", "manhattan")
 
 
 @dataclasses.dataclass
@@ -126,7 +118,7 @@ def run_fig5(
     points: List[Fig5Point] = []
     for function in functions:
         kwargs = _distance_kwargs(function)
-        software = _SOFTWARE[function]
+        software = get_distance(function).fn
         for length in lengths:
             times: List[float] = []
             errors: List[float] = []

@@ -19,7 +19,8 @@ import numpy as np
 from ..accelerator import DistanceAccelerator
 from ..analog import NonidealityModel
 from ..datasets import load_dataset, sample_pairs
-from .fig5 import _SOFTWARE, _distance_kwargs
+from ..distances import get_distance
+from .fig5 import _distance_kwargs
 
 
 @dataclasses.dataclass
@@ -90,7 +91,7 @@ def run_monte_carlo(
     """
     if base_model is None:
         base_model = NonidealityModel()
-    software = _SOFTWARE[function]
+    software = get_distance(function).fn
     kwargs = _distance_kwargs(function)
     pairs = sample_pairs(
         load_dataset(dataset), length, seed=7, n_pairs=pairs_per_chip

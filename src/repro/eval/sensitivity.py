@@ -19,7 +19,8 @@ import numpy as np
 from ..accelerator import DistanceAccelerator
 from ..analog import NonidealityModel
 from ..datasets import load_dataset, sample_pairs
-from .fig5 import _SOFTWARE, _distance_kwargs
+from ..distances import get_distance
+from .fig5 import _distance_kwargs
 
 #: The isolated knob configurations.  Each enables ONE error source at
 #: the default chip's magnitude; "none" is the exact reference and
@@ -113,7 +114,7 @@ def run_sensitivity(
     )
     rows: List[SensitivityRow] = []
     for function in functions:
-        software = _SOFTWARE[function]
+        software = get_distance(function).fn
         kwargs = _distance_kwargs(function)
         references = [
             software(p, q, **kwargs) for p, q, _same in pairs

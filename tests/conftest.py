@@ -13,6 +13,28 @@ from repro.accelerator import (
     DistanceAccelerator,
 )
 from repro.analog import IDEAL, NonidealityModel
+from repro.analog._native import numpy_reference
+
+
+def pytest_addoption(parser) -> None:
+    parser.addoption(
+        "--numpy-kernel",
+        action="store_true",
+        help="solve every level program on the NumPy reference program "
+        "instead of the native kernel (to check that both give the "
+        "recorded bits)",
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def level_program_kernel(request):
+    """Runs the whole session on the NumPy reference program when
+    ``--numpy-kernel`` is given."""
+    if request.config.getoption("--numpy-kernel"):
+        with numpy_reference():
+            yield
+    else:
+        yield
 
 
 @pytest.fixture
