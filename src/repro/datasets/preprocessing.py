@@ -14,17 +14,25 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import DatasetError
-from ..validation import as_sequence
+from ..validation import as_sequence, as_sequences
 from .synthetic import Dataset
 
 
 def z_normalise(series) -> np.ndarray:
-    """Zero-mean unit-variance normalisation (UCR convention)."""
-    arr = as_sequence(series, "series")
-    std = float(np.std(arr))
-    if std < 1.0e-12:
-        return arr - float(np.mean(arr))
-    return (arr - float(np.mean(arr))) / std
+    """Zero-mean unit-variance normalisation (UCR convention).
+
+    ``series`` is one sequence or a ``(count, length)`` stack; each row
+    is normalised on its own, to the same bits as a 1-D call on it.  A
+    flat sequence (std below 1e-12) is only centred: its divisor is
+    1.0, which leaves every centred value exact.
+    """
+    arr = as_sequences(series, "series")
+    length = arr.shape[-1]
+    # np.mean's and np.std's own reductions, without their dispatch.
+    centred = arr - arr.sum(axis=-1, keepdims=True) / length
+    scale = np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / length)
+    scale[scale < 1.0e-12] = 1.0
+    return centred / scale
 
 
 def resample(series, length: int) -> np.ndarray:

@@ -15,6 +15,7 @@ invariants and the accelerator uses as ground truth.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +27,7 @@ from ..validation import (
 )
 from .base import register_distance
 
-_INF = np.inf
+_INF = math.inf
 
 
 def dtw_matrix(
@@ -51,27 +52,52 @@ def dtw_matrix(
         Sakoe-Chiba radius: ``None`` (unconstrained), an ``int`` count
         of cells, or a ``float`` fraction of the longer length.
     """
+    return np.array(_cumulative_rows(p, q, weights, band), dtype=np.float64)
+
+
+def _cumulative_rows(p, q, weights, band) -> List[List[float]]:
+    """The rows of :func:`dtw_matrix`, as lists of Python floats.
+
+    The recurrence runs over plain floats: indexing NumPy scalars cell
+    by cell costs several times the arithmetic.  The operations, and so
+    every cell's bits, are the same as over a float64 array.
+    """
     p = as_sequence(p, "p")
     q = as_sequence(q, "q")
     n, m = p.shape[0], q.shape[0]
     w = as_weight_matrix(weights, n, m)
     r = resolve_band(band, n, m)
 
-    d = np.full((n + 1, m + 1), _INF, dtype=np.float64)
-    d[0, 0] = 0.0
-    cost = w * np.abs(p[:, None] - q[None, :])
+    cost = (w * np.abs(p[:, None] - q[None, :])).tolist()
+    prev = [0.0] + [_INF] * m
+    rows = [prev]
     for i in range(1, n + 1):
         # The band is defined on the (i, j) index difference, scaled for
         # unequal lengths so the diagonal stays feasible.
         centre = i * m / n
-        lo = max(1, int(np.floor(centre - r)))
-        hi = min(m, int(np.ceil(centre + r)))
+        lo = max(1, math.floor(centre - r))
+        hi = min(m, math.ceil(centre + r))
+        row = [_INF] * (m + 1)
+        costs = cost[i - 1]
+        # min(left, up, diag) spelled out, in its comparison order;
+        # the left neighbour of the band's first cell is always inf.
+        left = _INF
+        diag = prev[lo - 1]
         for j in range(lo, hi + 1):
-            best = min(d[i, j - 1], d[i - 1, j], d[i - 1, j - 1])
+            up = prev[j]
+            best = left
+            if up < best:
+                best = up
+            if diag < best:
+                best = diag
+            diag = up
             if best == _INF:
+                left = _INF
                 continue
-            d[i, j] = cost[i - 1, j - 1] + best
-    return d
+            left = row[j] = costs[j - 1] + best
+        rows.append(row)
+        prev = row
+    return rows
 
 
 @register_distance(
@@ -84,7 +110,7 @@ def dtw(
     band: Optional[float] = None,
 ) -> float:
     """Dynamic time warping distance ``DTW(P, Q) = D[n, m]`` (Eq. 2)."""
-    return float(dtw_matrix(p, q, weights=weights, band=band)[-1, -1])
+    return _cumulative_rows(p, q, weights, band)[-1][-1]
 
 
 def dtw_path(

@@ -80,34 +80,44 @@ def subsequence_search(
         ``compute`` runs each surviving full DTW; ``None`` is the
         software reference.  The lower-bound cascade stays in
         software, mirroring the paper's division of labour.
+
+    The cascade is columnar: one NumPy pass z-normalises every window
+    and computes both bounds for all of them, then the visit loop, in
+    window order, only compares those floats with the best-so-far and
+    sends each survivor's normalised row to ``backend.compute``.
     """
     query_arr = as_sequence(query, "query")
     if normalise:
         query_arr = z_normalise(query_arr)
-    windows = sliding_windows(series, query_arr.shape[0])
+    # One C-contiguous row per window: every row reduces exactly as a
+    # 1-D window would, so the columnar cascade keeps per-window bits.
+    candidates = np.ascontiguousarray(
+        sliding_windows(series, query_arr.shape[0])
+    )
+    if normalise:
+        candidates = z_normalise(candidates)
     backend = resolve_backend(backend)
     envelope = keogh_envelope(query_arr, band=band)
+    if use_lower_bounds:
+        kim = lb_kim(candidates, query_arr).tolist()
+        keogh = lb_keogh(candidates, query_arr, envelope=envelope).tolist()
 
     best_distance = np.inf
     best_index = -1
     kim_pruned = 0
     keogh_pruned = 0
     dtw_calls = 0
-    for index in range(windows.shape[0]):
-        candidate = windows[index]
-        if normalise:
-            candidate = z_normalise(candidate)
+    for index in range(candidates.shape[0]):
         if use_lower_bounds:
-            if lb_kim(candidate, query_arr) >= best_distance:
+            if kim[index] >= best_distance:
                 kim_pruned += 1
                 continue
-            if (
-                lb_keogh(candidate, query_arr, envelope=envelope)
-                >= best_distance
-            ):
+            if keogh[index] >= best_distance:
                 keogh_pruned += 1
                 continue
-        distance = backend.compute("dtw", candidate, query_arr, band=band)
+        distance = backend.compute(
+            "dtw", candidates[index], query_arr, band=band
+        )
         dtw_calls += 1
         if distance < best_distance:
             best_distance = distance
@@ -115,7 +125,7 @@ def subsequence_search(
     return SearchResult(
         best_index=best_index,
         best_distance=float(best_distance),
-        candidates=windows.shape[0],
+        candidates=candidates.shape[0],
         lb_kim_pruned=kim_pruned,
         lb_keogh_pruned=keogh_pruned,
         dtw_calls=dtw_calls,

@@ -43,7 +43,30 @@ def as_sequence(values, name: str = "sequence") -> np.ndarray:
         raise SequenceError(
             f"{name} must be one-dimensional, got shape {arr.shape}"
         )
-    if arr.size == 0:
+    return _checked_values(arr, name)
+
+
+def as_sequences(values, name: str = "sequence") -> np.ndarray:
+    """Coerce ``values`` to one sequence or a stack of equal-length ones.
+
+    Like :func:`as_sequence`, but a 2-D ``(count, length)`` input is
+    accepted as ``count`` sequences, one per row, so a function that
+    reduces along the last axis serves a single sequence and a whole
+    window bank alike.  The result is C-contiguous, so every row is a
+    contiguous sequence of its own.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise SequenceError(
+            f"{name} must be one sequence or a 2-D stack of them, "
+            f"got shape {arr.shape}"
+        )
+    return _checked_values(arr, name)
+
+
+def _checked_values(arr: np.ndarray, name: str) -> np.ndarray:
+    """Reject empty sequences and non-finite values; make contiguous."""
+    if arr.shape[-1] == 0:
         raise SequenceError(f"{name} must be non-empty")
     if not np.isfinite(arr).all():
         raise SequenceError(f"{name} contains NaN or infinite values")
@@ -51,11 +74,11 @@ def as_sequence(values, name: str = "sequence") -> np.ndarray:
 
 
 def require_same_length(p: np.ndarray, q: np.ndarray) -> None:
-    """Raise :class:`LengthMismatchError` unless ``len(p) == len(q)``."""
-    if p.shape[0] != q.shape[0]:
+    """Raise :class:`LengthMismatchError` unless the last axes match."""
+    if p.shape[-1] != q.shape[-1]:
         raise LengthMismatchError(
             "sequences must have equal length for this distance: "
-            f"{p.shape[0]} != {q.shape[0]}"
+            f"{p.shape[-1]} != {q.shape[-1]}"
         )
 
 

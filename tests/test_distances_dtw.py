@@ -5,6 +5,7 @@ import pytest
 
 from repro.distances import dtw, dtw_matrix, dtw_path, dtw_vectorised
 from repro.errors import SequenceError
+from repro.validation import as_weight_matrix, resolve_band
 
 
 class TestDtwBasics:
@@ -150,3 +151,66 @@ class TestVectorised:
         assert dtw_vectorised(p, q, band=3) == pytest.approx(
             dtw(p, q, band=3)
         )
+
+
+def reference_dtw_matrix(p, q, weights=None, band=None):
+    """The recurrence cell by cell over a float64 array (the original
+    NumPy loop), kept as the bit-for-bit reference."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    n, m = p.shape[0], q.shape[0]
+    w = as_weight_matrix(weights, n, m)
+    r = resolve_band(band, n, m)
+    d = np.full((n + 1, m + 1), np.inf, dtype=np.float64)
+    d[0, 0] = 0.0
+    cost = w * np.abs(p[:, None] - q[None, :])
+    for i in range(1, n + 1):
+        centre = i * m / n
+        lo = max(1, int(np.floor(centre - r)))
+        hi = min(m, int(np.ceil(centre + r)))
+        for j in range(lo, hi + 1):
+            best = min(d[i, j - 1], d[i - 1, j], d[i - 1, j - 1])
+            if best == np.inf:
+                continue
+            d[i, j] = cost[i - 1, j - 1] + best
+    return d
+
+
+class TestDtwBits:
+    """The Python-float recurrence keeps every cell's bits."""
+
+    def assert_same_bits(self, p, q, weights=None, band=None):
+        expected = reference_dtw_matrix(p, q, weights=weights, band=band)
+        got = dtw_matrix(p, q, weights=weights, band=band)
+        assert got.dtype == np.float64
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        distance = dtw(p, q, weights=weights, band=band)
+        assert type(distance) is float
+        assert np.float64(distance).tobytes() == expected[-1, -1].tobytes()
+
+    def test_random_weighted_banded_unequal(self):
+        rng = np.random.default_rng(15)
+        bands = (None, 0, 1, 3, 0.05, 0.1, 0.5, 1.0)
+        for _ in range(400):
+            n, m = (int(k) for k in rng.integers(1, 25, size=2))
+            p = rng.normal(size=n) * rng.choice([1e-3, 1.0, 1e3])
+            q = rng.normal(size=m)
+            weights = (None, 2.5, rng.random((n, m)))[int(rng.integers(3))]
+            band = bands[int(rng.integers(len(bands)))]
+            self.assert_same_bits(p, q, weights=weights, band=band)
+
+    def test_zero_weights_and_ties(self):
+        p = np.array([1.0, 1.0, 2.0, 2.0])
+        q = np.array([1.0, 2.0, 2.0])
+        self.assert_same_bits(p, q, weights=0.0)
+        self.assert_same_bits(p, q, weights=-0.0)
+        self.assert_same_bits(p, p)
+
+    def test_band_with_no_path_is_all_inf(self):
+        # Radius 0 with n=2, m=5 leaves no feasible cell past (0, 0).
+        p, q = [0.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0]
+        self.assert_same_bits(p, q, band=0)
+        d = dtw_matrix(p, q, band=0)
+        assert np.isinf(d[1:, 1:]).all()
+        assert dtw(p, q, band=0) == np.inf
