@@ -11,25 +11,22 @@ function only."
 This example streams an interleaved job queue (HamD + LCS + DTW) two
 ways and prints the reconfiguration count and the makespan of each:
 
-* ``serial_loop_time`` — one chip serving the queue in arrival order,
-  so every job switches the array to a new configuration;
+* ``simulate_accelerator`` — one chip serving the queue in arrival
+  order, so every job switches the array to a new configuration;
 * a 3-shard ``AcceleratorPool`` drain — least-loaded placement with
   function affinity keeps each function resident on its own shard.
 
-The whole queue arrives at once, and the pool's row batcher is off, so
-both sides pay one settle per job and differ only in scheduling.
+The whole queue arrives at once, and the pool's row batcher is off.
+Both sides bill every job by the chip's one cost model (settle,
+conversion and reconfiguration), so they differ only in scheduling.
 
 Run:  python examples/datacenter_mixed_workload.py
 """
 
 import numpy as np
 
-from repro.serving import (
-    AcceleratorPool,
-    PoolConfig,
-    PoolRequest,
-    serial_loop_time,
-)
+from repro.datacenter import Query, simulate_accelerator
+from repro.serving import AcceleratorPool, PoolConfig
 
 
 def make_queue(rng: np.random.Generator, total: int = 30):
@@ -56,23 +53,15 @@ def make_queue(rng: np.random.Generator, total: int = 30):
 def main() -> None:
     jobs = make_queue(np.random.default_rng(2017))
 
-    requests = [
-        PoolRequest(
-            id=k,
-            function=function,
-            p=p,
-            q=q,
-            arrival_s=0.0,
-            kwargs=kwargs,
-        )
-        for k, (function, p, q, kwargs) in enumerate(jobs)
-    ]
+    functions = [function for function, _, _, _ in jobs]
     switches = sum(
         1
-        for k, request in enumerate(requests)
-        if k == 0 or request.function != requests[k - 1].function
+        for k, function in enumerate(functions)
+        if k == 0 or function != functions[k - 1]
     )
-    serial_s = serial_loop_time(requests)
+    serial_s = simulate_accelerator(
+        [Query(0.0, function, len(p)) for function, p, _, _ in jobs]
+    ).makespan_s
     print(
         f"  serial loop, 1 chip: {switches:>3} reconfigurations, "
         f"makespan {serial_s * 1e6:8.3f} us"

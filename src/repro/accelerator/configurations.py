@@ -12,8 +12,10 @@ recording:
 * the memristor ratio rules for its weighted variant (Section 3.2).
 
 Switching the array from one configuration to another has a cost,
-:class:`ReconfigurationCost`; :data:`RECONFIGURATION` is the one every
-scheduler charges.
+:class:`ReconfigurationCost`; :data:`RECONFIGURATION` is the chip's.
+:func:`settle_s`, :func:`service_s` and :func:`switch_s` are the one
+per-query cost rule every deployment bills a served query by: the pool
+and its BIST probes, and the data-center server model.
 
 The unified PE inventory (Section 3.1: nine analog subtracters, two
 transmission gates, five diodes, one comparator, one buffer, one
@@ -24,10 +26,12 @@ check — the reuse argument is the paper's chip-area saving.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
+from ..baselines.literature import CALIBRATED_OURS_PER_ELEMENT_S
 from ..errors import ConfigurationError
 from . import pe
+from .dac_adc import AdcArray, DacArray
 
 #: Section 3.1's unified PE inventory.
 UNIFIED_PE = {
@@ -231,6 +235,46 @@ class ReconfigurationCost:
         )
 
 
-#: The chip's switching cost, charged by the pool, the serial
-#: baseline and the data-center server model.
+#: The chip's switching cost; :func:`switch_s` bills it.
 RECONFIGURATION = ReconfigurationCost()
+
+
+def settle_s(function: str, n: int, m: int) -> float:
+    """Calibrated analog settle of one ``n`` x ``m`` query of
+    ``function``: its per-element constant times the longer input."""
+    try:
+        per_element_s = CALIBRATED_OURS_PER_ELEMENT_S[function]
+    except KeyError:
+        raise ConfigurationError(
+            f"no calibrated settle time for {function!r}"
+        ) from None
+    return per_element_s * max(n, m)
+
+
+def service_s(
+    function: str,
+    n: int,
+    m: int,
+    dac: DacArray,
+    adc: AdcArray,
+    settle: Optional[float] = None,
+) -> float:
+    """Service time of one unbatched ``n`` x ``m`` query: the settle
+    (:func:`settle_s` unless given), loading both inputs through
+    ``dac`` and one ``adc`` read.
+
+    A caller that owes a reconfiguration passes ``switch + settle`` as
+    ``settle``, so every deployment adds the same terms in one order.
+    """
+    if settle is None:
+        settle = settle_s(function, n, m)
+    return settle + dac.load_time(n + m) + adc.read_time(1)
+
+
+def switch_s(current: Optional[str], function: str) -> float:
+    """Cost of switching an array configured for ``current`` (``None``
+    before its first query) to ``function``: nothing when ``function``
+    is already resident, else one transmission-gate broadcast."""
+    if current == function:
+        return 0.0
+    return RECONFIGURATION.switch_time(0)

@@ -276,7 +276,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import distances as sw
-    from .accelerator import DistanceAccelerator
+    from .accelerator import DistanceAccelerator, get_config
     from .analog import IDEAL
 
     rng = np.random.default_rng(args.seed)
@@ -284,7 +284,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     q = rng.normal(size=args.length)
     kwargs = (
         {"threshold": args.threshold}
-        if args.function in ("lcs", "edit", "hamming")
+        if get_config(args.function).uses_threshold
         else {}
     )
     chip = (

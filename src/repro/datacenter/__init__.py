@@ -7,7 +7,6 @@ accelerators — latency, utilisation and energy per query.
 
 from .servers import (
     AcceleratorServer,
-    CONVERSION_OVERHEAD_S,
     CPU_POWER_W,
     CpuServer,
     SingleFunctionFarm,
@@ -30,7 +29,6 @@ from .workload import (
 
 __all__ = [
     "AcceleratorServer",
-    "CONVERSION_OVERHEAD_S",
     "CPU_POWER_W",
     "CpuServer",
     "DEFAULT_MIX",

@@ -3,10 +3,12 @@
 Three deployments, matching the paper's comparison space:
 
 * :class:`AcceleratorServer` — one reconfigurable memristor array
-  (this paper).  Service time = analog convergence + conversion, plus
-  a reconfiguration penalty whenever the incoming query's function
-  differs from the array's current configuration; power follows the
-  Section 4.3 model per active configuration.
+  (this paper), billed by the chip's per-query cost rule
+  (:func:`repro.accelerator.configurations.service_s`): calibrated
+  settle + DAC load + ADC read, plus a reconfiguration whenever the
+  incoming query's function differs from the array's current
+  configuration — the same rule the serving pool bills; power follows
+  the Section 4.3 model per active configuration.
 * :class:`CpuServer` — the i5-3470 software baseline.
 * :class:`SingleFunctionFarm` — one fixed-function accelerator per
   distance function (the "existing works" world): each query can only
@@ -15,57 +17,38 @@ Three deployments, matching the paper's comparison space:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
-import numpy as np
-
-from ..accelerator.configurations import RECONFIGURATION
+from ..accelerator.configurations import service_s, settle_s, switch_s
+from ..accelerator.dac_adc import AdcArray, DacArray
 from ..accelerator.power import accelerator_power
 from ..baselines.cpu import modelled_cpu_time
-from ..baselines.literature import (
-    CALIBRATED_OURS_PER_ELEMENT_S,
-    EXISTING_WORKS,
-)
+from ..baselines.literature import EXISTING_WORKS
 from ..errors import ConfigurationError
 from .workload import Query
-
-#: Conversion overhead per query (DAC load + ADC read), seconds;
-#: 2n samples through the converter arrays is < 1 ns at n <= 40.
-CONVERSION_OVERHEAD_S = 1.0e-9
 
 #: i5-3470 package power (W) when busy, per Intel's 77 W TDP.
 CPU_POWER_W = 77.0
 
 
 class AcceleratorServer:
-    """The reconfigurable accelerator as a queue server."""
+    """The reconfigurable accelerator as a queue server, with the
+    chip's default converter arrays."""
 
-    def __init__(
-        self,
-        per_element_s: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.per_element_s = dict(
-            per_element_s
-            if per_element_s is not None
-            else CALIBRATED_OURS_PER_ELEMENT_S
-        )
+    def __init__(self) -> None:
+        self.dac = DacArray()
+        self.adc = AdcArray()
         self.current_function: Optional[str] = None
 
     def service_time(self, query: Query) -> float:
         """Seconds to serve ``query`` from the current configuration."""
-        if query.function not in self.per_element_s:
-            raise ConfigurationError(
-                f"unserveable function {query.function!r}"
-            )
-        t = (
-            self.per_element_s[query.function] * query.length
-            + CONVERSION_OVERHEAD_S
+        n = query.length
+        reconfig = switch_s(self.current_function, query.function)
+        settle = settle_s(query.function, n, n)
+        self.current_function = query.function
+        return service_s(
+            query.function, n, n, self.dac, self.adc, reconfig + settle
         )
-        if query.function != self.current_function:
-            t += RECONFIGURATION.switch_time(0)
-            self.current_function = query.function
-        return t
 
     def power_w(self, function: str) -> float:
         """Power while serving ``function`` (Section 4.3 model)."""

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..accelerator.configurations import get_config
 from ..errors import ConfigurationError
 from .servers import AcceleratorServer, CpuServer, SingleFunctionFarm
 from .workload import Query
@@ -186,8 +187,12 @@ def simulate_pool(
     exploits — and replays the stream through
     :class:`repro.serving.AcceleratorPool`.  Unlike the single-server
     deployments, every query here executes on a real simulated analog
-    array; latencies come from the same calibrated model the
-    :class:`AcceleratorServer` uses, so results are comparable.
+    array.  Its latencies and energy are billed by the chip's one
+    per-query cost rule, the one :class:`AcceleratorServer` bills
+    (:mod:`repro.accelerator.configurations`).  One shard with
+    batching and the cache off reproduces :func:`simulate_accelerator`'s
+    sojourns and busy energy bit for bit, so any difference between
+    the two comes from sharding, batching or caching.
     """
     from ..serving import AcceleratorPool
 
@@ -206,7 +211,7 @@ def simulate_pool(
         i, j = rng.integers(0, len(bank), size=2)
         kwargs = (
             {"threshold": 0.5}
-            if query.function in ("lcs", "edit", "hamming")
+            if get_config(query.function).uses_threshold
             else {}
         )
         pool.submit(

@@ -122,10 +122,13 @@ def dtw_path(
     """Return ``(distance, warping_path)``.
 
     The path is the list of 0-based ``(i, j)`` index pairs of the
-    optimal alignment, from ``(0, 0)`` to ``(n-1, m-1)``.
+    optimal alignment, from ``(0, 0)`` to ``(n-1, m-1)``.  A band that
+    admits no path gives ``(inf, [])``.
     """
     d = dtw_matrix(p, q, weights=weights, band=band)
     n, m = d.shape[0] - 1, d.shape[1] - 1
+    if np.isinf(d[n, m]):
+        return float(d[n, m]), []
     i, j = n, m
     path: List[Tuple[int, int]] = []
     while i > 0 or j > 0:

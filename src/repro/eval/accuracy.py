@@ -19,7 +19,7 @@ from ..accelerator import DistanceAccelerator
 from ..backends import AcceleratorBackend
 from ..datasets import formalise, load_dataset
 from ..mining import KnnClassifier
-from .fig5 import EVAL_THRESHOLD
+from .fig5 import _distance_kwargs
 
 
 @dataclasses.dataclass
@@ -55,12 +55,6 @@ class AccuracyReport:
     @property
     def worst_agreement(self) -> float:
         return min(r.decision_agreement for r in self.rows)
-
-
-def _distance_kwargs(function: str) -> dict:
-    if function in ("lcs", "edit", "hamming"):
-        return {"threshold": EVAL_THRESHOLD}
-    return {}
 
 
 def run_accuracy_comparison(

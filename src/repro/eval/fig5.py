@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..accelerator import DistanceAccelerator
+from ..accelerator import DistanceAccelerator, get_config
 from ..distances import get_distance
 from ..datasets import (
     evaluation_lengths,
@@ -86,7 +86,7 @@ class Fig5Result:
 
 
 def _distance_kwargs(function: str) -> dict:
-    if function in ("lcs", "edit", "hamming"):
+    if get_config(function).uses_threshold:
         return {"threshold": EVAL_THRESHOLD}
     return {}
 

@@ -26,8 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..accelerator import DistanceAccelerator
-from ..accelerator.configurations import CONFIG_LIBRARY, get_config
-from ..baselines.literature import CALIBRATED_OURS_PER_ELEMENT_S
+from ..accelerator.configurations import (
+    CONFIG_LIBRARY,
+    get_config,
+    settle_s,
+)
 from ..errors import ConfigurationError
 
 #: Shard health classes, in increasing severity.
@@ -224,9 +227,8 @@ class BistRunner:
                     abs(result.value - reference)
                     / max(abs(reference), 1.0)
                 )
-                modelled_s += (
-                    CALIBRATED_OURS_PER_ELEMENT_S[function]
-                    * self.length
+                modelled_s += settle_s(
+                    function, self.length, self.length
                 )
             probes.append(
                 FunctionProbe(

@@ -29,7 +29,6 @@ from .pool import (
     PoolConfig,
     PoolRequest,
     PoolResponse,
-    serial_loop_time,
 )
 from .resilience import (
     BreakerConfig,
@@ -75,5 +74,4 @@ __all__ = [
     "quantise_key",
     "run_chaos",
     "run_serve_bench",
-    "serial_loop_time",
 ]

@@ -23,14 +23,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..accelerator.configurations import get_config
-from ..datacenter.workload import DEFAULT_MIX
+from ..datacenter.simulate import simulate_accelerator
+from ..datacenter.workload import DEFAULT_MIX, Query
 from ..errors import ConfigurationError
-from .pool import (
-    AcceleratorPool,
-    PoolConfig,
-    PoolRequest,
-    serial_loop_time,
-)
+from .pool import AcceleratorPool, PoolConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +87,7 @@ def generate_queries(
         i, j = rng.integers(0, n_templates, size=2)
         kwargs = (
             {"threshold": threshold}
-            if function in ("lcs", "edit", "hamming")
+            if get_config(function).uses_threshold
             else {}
         )
         queries.append(
@@ -196,20 +192,16 @@ def run_serve_bench(
     latency = pool.metrics.histogram("latency")
     counters = pool.metrics.as_dict()["counters"]
 
-    row_requests = [
-        PoolRequest(
-            id=i,
-            function=q.function,
-            p=q.p,
-            q=q.q,
-            arrival_s=q.arrival_s,
-            kwargs=dict(q.kwargs),
-        )
-        for i, q in enumerate(queries)
+    # The naive loop: one chip serving every row query in turn.
+    row_queries = [
+        Query(0.0, q.function, q.p.shape[0])
+        for q in queries
         if get_config(q.function).structure == "row"
     ]
-    serial_row_s = serial_loop_time(
-        row_requests, accelerator=pool.shards[0].accelerator
+    serial_row_s = (
+        simulate_accelerator(row_queries).makespan_s
+        if row_queries
+        else 0.0
     )
     row_speedup = (
         serial_row_s / pool.row_busy_s if pool.row_busy_s > 0 else 0.0

@@ -73,12 +73,13 @@ from ..accelerator import (
     StackedPairs,
 )
 from ..accelerator.configurations import (
-    RECONFIGURATION,
     FunctionConfig,
     get_config,
+    service_s,
+    settle_s,
+    switch_s,
 )
 from ..accelerator.power import accelerator_power
-from ..baselines.literature import CALIBRATED_OURS_PER_ELEMENT_S
 from ..errors import (
     CapacityError,
     CircuitOpenError,
@@ -604,9 +605,14 @@ class AcceleratorPool:
         # estimate cannot land before the deadline, expire now instead
         # of burning a settle on a doomed request.
         if request.deadline_s is not None:
-            earliest = max(
-                request.arrival_s, shard.busy_until
-            ) + _single_service_s(shard.accelerator, request)
+            estimate = service_s(
+                request.function,
+                request.p.shape[0],
+                request.q.shape[0],
+                shard.accelerator.dac,
+                shard.accelerator.adc,
+            )
+            earliest = max(request.arrival_s, shard.busy_until) + estimate
             if (
                 request.deadline_s < request.arrival_s
                 or earliest > request.deadline_s
@@ -621,9 +627,7 @@ class AcceleratorPool:
         if self._batchable(request, shard):
             flush_by = None
             if request.deadline_s is not None:
-                flush_by = request.deadline_s - _single_service_s(
-                    shard.accelerator, request
-                )
+                flush_by = request.deadline_s - estimate
                 request.flush_by_s = flush_by
             full = shard.batcher.add(
                 (request.function, request.options),
@@ -908,16 +912,19 @@ class AcceleratorPool:
     def _reconfigure(self, shard: _Shard, function: str) -> float:
         if shard.current_function == function:
             return 0.0
+        cost = switch_s(shard.current_function, function)
         shard.current_function = function
         self.metrics.counter("reconfigurations").inc()
-        return RECONFIGURATION.switch_time(0)
+        return cost
 
     def _settle_time(
         self, shard: _Shard, request: PoolRequest
     ) -> float:
         """One analog settle at this request's operating point."""
         if self.config.latency_model == "calibrated":
-            return _calibrated_settle_s(request)
+            return settle_s(
+                request.function, request.p.shape[0], request.q.shape[0]
+            )
         # Settle time depends on the programmed graph and on the chip:
         # a faulted or recalibrated chip settles differently from a
         # healthy one, so the chip's value signature is part of the
@@ -1058,7 +1065,13 @@ class AcceleratorPool:
         projected = (
             max(request.arrival_s, shard.busy_until)
             - request.arrival_s
-            + _single_service_s(shard.accelerator, request)
+            + service_s(
+                request.function,
+                request.p.shape[0],
+                request.q.shape[0],
+                shard.accelerator.dac,
+                shard.accelerator.adc,
+            )
         )
         if projected <= threshold:
             return shard, False
@@ -1088,9 +1101,12 @@ class AcceleratorPool:
         start = max(request.arrival_s, shard.busy_until)
         reconfig = self._reconfigure(shard, request.function)
         result = self._compute(shard.accelerator, request)
-        service = _single_service_s(
-            shard.accelerator,
-            request,
+        service = service_s(
+            request.function,
+            request.p.shape[0],
+            request.q.shape[0],
+            shard.accelerator.dac,
+            shard.accelerator.adc,
             reconfig + self._settle_time(shard, request),
         )
         self._complete(
@@ -1326,51 +1342,6 @@ class AcceleratorPool:
         import json
 
         return json.dumps(self.snapshot(), indent=indent)
-
-
-def _calibrated_settle_s(request: PoolRequest) -> float:
-    """Calibrated settle of one request: per-element constant x length."""
-    n = int(max(request.p.shape[0], request.q.shape[0]))
-    return CALIBRATED_OURS_PER_ELEMENT_S[request.function] * n
-
-
-def _single_service_s(
-    acc: DistanceAccelerator,
-    request: PoolRequest,
-    settle_s: Optional[float] = None,
-) -> float:
-    """Service time of one unbatched request on ``acc``: the settle
-    (calibrated unless given), loading both inputs through the DAC and
-    one ADC read."""
-    if settle_s is None:
-        settle_s = _calibrated_settle_s(request)
-    return (
-        settle_s
-        + acc.dac.load_time(request.p.size + request.q.size)
-        + acc.adc.read_time(1)
-    )
-
-
-def serial_loop_time(
-    requests: Sequence[PoolRequest],
-    accelerator: Optional[DistanceAccelerator] = None,
-) -> float:
-    """Modelled time of the naive per-query loop on ONE accelerator.
-
-    The baseline the pool's batching is judged against: same stream,
-    same calibrated timing model, but every query pays its own settle
-    and conversion, serialised in arrival order.
-    """
-    if accelerator is None:
-        accelerator = DistanceAccelerator()
-    total = 0.0
-    current: Optional[str] = None
-    for request in requests:
-        if request.function != current:
-            total += RECONFIGURATION.switch_time(0)
-            current = request.function
-        total += _single_service_s(accelerator, request)
-    return total
 
 
 class PoolBackend:

@@ -4,11 +4,14 @@ import pytest
 
 from repro.accelerator import (
     CONFIG_LIBRARY,
+    AdcArray,
+    DacArray,
     PEResources,
     ReconfigurationCost,
     UNIFIED_PE,
     get_config,
 )
+from repro.accelerator.configurations import service_s, settle_s, switch_s
 from repro.errors import ConfigurationError
 
 
@@ -108,3 +111,23 @@ class TestReconfigurationCost:
     def test_negative_pes_rejected(self):
         with pytest.raises(ConfigurationError):
             ReconfigurationCost().switch_time(-1)
+
+
+class TestQueryCostRule:
+    def test_service_adds_conversion_to_settle(self):
+        # 32 samples fit the 256 DAC lanes: one DAC and one ADC sample.
+        settle = settle_s("dtw", 16, 12)
+        assert settle == pytest.approx(16 * 3.27e-9)
+        conversion = 1 / 1.6e9 + 1 / 8.8e9
+        assert service_s(
+            "dtw", 16, 12, DacArray(), AdcArray()
+        ) == pytest.approx(settle + conversion)
+
+    def test_switch_only_off_the_resident_function(self):
+        assert switch_s("dtw", "dtw") == 0.0
+        assert switch_s(None, "dtw") == pytest.approx(10e-9)
+        assert switch_s("dtw", "lcs") == pytest.approx(10e-9)
+
+    def test_uncalibrated_function_rejected(self):
+        with pytest.raises(ConfigurationError):
+            settle_s("cosine", 8, 8)

@@ -15,8 +15,10 @@ from repro.datacenter import (
     simulate_accelerator,
     simulate_cpu,
     simulate_farm,
+    simulate_pool,
 )
 from repro.errors import ConfigurationError
+from repro.serving import PoolConfig
 
 
 class TestWorkload:
@@ -147,3 +149,33 @@ class TestSimulation:
         )
         assert "reconfigurable accelerator" in text
         assert "uJ" in text
+
+
+class TestOneCostModel:
+    """The pool and the data-center server bill a query by one rule."""
+
+    FUNCTIONS = ("dtw", "edit", "hamming", "hausdorff", "lcs", "manhattan")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_shard_pool_matches_server(self, seed):
+        rng = np.random.default_rng(seed)
+        arrivals = np.cumsum(rng.exponential(20e-9, size=40))
+        queries = [
+            Query(
+                float(arrival),
+                str(rng.choice(self.FUNCTIONS)),
+                int(rng.choice([8, 16])),
+            )
+            for arrival in arrivals
+        ]
+        server = simulate_accelerator(queries)
+        pool = simulate_pool(
+            queries,
+            n_shards=1,
+            config=PoolConfig(enable_batching=False, cache_capacity=0),
+            seed=seed,
+        )
+        assert pool.served == server.served == len(queries)
+        assert pool.mean_sojourn_s == server.mean_sojourn_s
+        assert pool.p99_sojourn_s == server.p99_sojourn_s
+        assert pool.busy_energy_j == server.busy_energy_j

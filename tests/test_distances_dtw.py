@@ -137,6 +137,25 @@ class TestDtwPath:
         cost = sum(abs(p[i] - q[j]) for i, j in path)
         assert cost == pytest.approx(distance)
 
+    @pytest.mark.parametrize("band", [None, 0, 0.1, 0.5, 1])
+    def test_infeasible_band_gives_empty_path(self, band):
+        # Narrow bands on unequal lengths admit no alignment: the path
+        # must then be empty, never a walk off the cost matrix.
+        rng = np.random.default_rng(15)
+        for n in range(1, 7):
+            for m in range(1, 7):
+                p, q = rng.normal(size=n), rng.normal(size=m)
+                distance, path = dtw_path(p, q, band=band)
+                assert distance == dtw(p, q, band=band)
+                if path == []:
+                    assert distance == np.inf
+                    continue
+                assert path[0] == (0, 0)
+                assert path[-1] == (n - 1, m - 1)
+                assert min(min(step) for step in path) >= 0
+                for (i0, j0), (i1, j1) in zip(path, path[1:]):
+                    assert (i1 - i0, j1 - j0) in {(0, 1), (1, 0), (1, 1)}
+
 
 class TestVectorised:
     def test_matches_reference(self):

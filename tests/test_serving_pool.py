@@ -9,9 +9,11 @@ from repro import distances as sw
 from repro.accelerator import DistanceAccelerator
 from repro.analog import IDEAL
 from repro.datacenter import (
+    Query,
     WorkloadSpec,
     comparison_table,
     generate_workload,
+    simulate_accelerator,
     simulate_pool,
 )
 from repro.errors import (
@@ -30,7 +32,6 @@ from repro.serving import (
     ResultCache,
     run_serve_bench,
 )
-from repro.serving.pool import PoolRequest, serial_loop_time
 
 
 def ideal_chip():
@@ -511,8 +512,8 @@ class TestShardQueue:
 class TestBatchingSpeedup:
     @pytest.mark.parametrize("function", ["hamming", "manhattan"])
     def test_row_throughput_at_least_3x_serial(self, function, rng):
-        """The acceptance benchmark: batched row serving vs a naive
-        per-query loop on the same stream, same timing model."""
+        """The acceptance benchmark: batched row serving vs one chip
+        serving the same stream query by query, same cost model."""
         kwargs = {"threshold": 0.5} if function == "hamming" else {}
         pairs = [
             (rng.normal(size=16), rng.normal(size=16))
@@ -523,20 +524,9 @@ class TestBatchingSpeedup:
             pool.submit(function, p, q, arrival_s=0.0, **kwargs)
         responses = pool.drain()
         assert all(r.status == "ok" for r in responses)
-        requests = [
-            PoolRequest(
-                id=i,
-                function=function,
-                p=p,
-                q=q,
-                arrival_s=0.0,
-                kwargs=dict(kwargs),
-            )
-            for i, (p, q) in enumerate(pairs)
-        ]
-        serial_s = serial_loop_time(
-            requests, accelerator=pool.shards[0].accelerator
-        )
+        serial_s = simulate_accelerator(
+            [Query(0.0, function, 16)] * len(pairs)
+        ).makespan_s
         assert pool.row_busy_s > 0
         speedup = serial_s / pool.row_busy_s
         assert speedup >= 3.0
