@@ -16,12 +16,14 @@ result.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Hashable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -94,6 +96,12 @@ class AcceleratorResult:
         ADC clipped — the result is untrustworthy.
     n_blocks:
         Total analog stages simulated (proxy for active PE resources).
+    gain:
+        Digital input gain of the auto-ranging front end (see
+        :meth:`DistanceAccelerator._input_gain`): the inputs were
+        scaled by it before the DAC and ``value`` is divided back by
+        it.  ``raw_voltage`` and ``adc_voltage`` are the voltages the
+        array and the ADC saw at that gain.  1 unless auto-ranged.
     """
 
     function: str
@@ -105,6 +113,7 @@ class AcceleratorResult:
     tiles: int
     overflow: bool
     n_blocks: int
+    gain: float = 1.0
 
     @property
     def total_time_s(self) -> Optional[float]:
@@ -149,6 +158,11 @@ class StackedPairs(Sequence):
     def __getitem__(self, k):
         return self.p[k], self.q[k]
 
+
+#: Functions whose untiled settles are auto-ranged (see
+#: :meth:`DistanceAccelerator._input_gain`), and the largest gain.
+AUTORANGED = frozenset({"dtw", "hausdorff"})
+MAX_INPUT_GAIN_LOG2 = 3
 
 #: Graph structures the process keeps (see :meth:`DistanceAccelerator.
 #: _structure`), least recently used first out.
@@ -499,10 +513,112 @@ class DistanceAccelerator:
             volts >= self.params.infinity_rail * 0.99, volts, resampled
         )
 
-    def _decode(self, config: FunctionConfig, voltage: float) -> float:
+    def _decode(
+        self, config: FunctionConfig, voltage: float, gain: float = 1.0
+    ) -> float:
+        """The distance an ADC sample reads, the input ``gain`` it was
+        settled at divided back out (exact: gains are powers of two)."""
         if config.decode == "steps":
             return self.params.decode_steps(voltage)
-        return self.params.decode(voltage)
+        return self.params.decode(voltage) / gain
+
+    def _input_gain(
+        self,
+        config: FunctionConfig,
+        p_arr: np.ndarray,
+        q_arr: np.ndarray,
+        w: Optional[np.ndarray],
+    ) -> Union[float, np.ndarray]:
+        """Auto-ranging front end: each pair's digital input gain.
+
+        Small inputs use few DAC codes (one code is 0.05 units at the
+        default 20 mV per unit) and small outputs few ADC codes, so a
+        DTW or Hausdorff settle scales its inputs by a gain ``g`` before
+        the DAC and divides the decoded value by it.  ``g`` is the
+        largest power of two up to ``2 ** MAX_INPUT_GAIN_LOG2`` that
+        keeps, strictly inside range,
+
+        * the inputs: ``max(|p|, |q|) * g`` below the DAC full scale
+          minus one LSB;
+        * a cheap upper bound of the output: ``bound * g`` below the
+          ADC full scale minus two LSBs.  With ``n == m`` the bound is
+          the diagonal path, ``sum w_ii |p_i - q_i|`` for DTW and
+          ``max w_ii |p_i - q_i|`` for Hausdorff (the diagonal is a
+          warping path inside any band, and bounds every column
+          minimum); otherwise it is ``(n + m - 1) * (max|p| + max|q|)
+          * max w`` for DTW (the longest path) and ``(max|p| + max|q|)
+          * max w`` for Hausdorff;
+        * for DTW, the DP's two forced edge paths: ``sum_i w_i1 |p_i -
+          q_1|`` and ``sum_j w_1j |p_1 - q_j|`` times ``g`` below the
+          supply.  Those cells have one finite predecessor each and sum
+          their whole edge; the output bound alone lets them run into
+          the rail, and the overflow they raise would settle the pair
+          again at unit gain.
+
+        Each holds per pair of a ``(batch, n)`` stack.  ``w`` is the
+        weight matrix, ``None`` for unit weights.  Returns ``g``: a
+        float for one pair, an array with one per row of a stack.
+        Only untiled DTW/Hausdorff settles with ``quantise_io`` use
+        this (see :meth:`_settle`).
+        """
+        single = p_arr.ndim == 1
+        loads = []
+        for load in self._range_loads(config, p_arr, q_arr, w):
+            # A single pair filling half a range or more gets unit
+            # gain whatever the other loads are.
+            if single and load >= 0.5:
+                return 1.0
+            loads.append(load)
+        # ``frexp`` reads off the largest power of two keeping the
+        # largest load below 1.  A single pair stays on Python floats:
+        # the same exact max and exponent, without ufunc dispatch.
+        if single:
+            exponent = math.frexp(max(loads))[1]
+            return 2.0 ** min(max(-exponent, 0), MAX_INPUT_GAIN_LOG2)
+        _, exponents = np.frexp(np.maximum.reduce(loads))
+        return np.ldexp(
+            1.0, np.minimum(np.maximum(-exponents, 0), MAX_INPUT_GAIN_LOG2)
+        )
+
+    def _range_loads(
+        self,
+        config: FunctionConfig,
+        p_arr: np.ndarray,
+        q_arr: np.ndarray,
+        w: Optional[np.ndarray],
+    ) -> Iterator:
+        """The fractions of the converter and supply ranges a pair
+        fills at unit gain (see :meth:`_input_gain`), the one that most
+        often binds first; each a float, or an array over a stack."""
+        resolution = self.params.voltage_resolution
+        dac, adc = self.dac.spec, self.adc.spec
+        n, m = p_arr.shape[-1], q_arr.shape[-1]
+        dtw = config.name == "dtw"
+        p_peak = q_peak = None
+        if n == m:
+            diagonal = np.abs(p_arr - q_arr)
+            if w is not None:
+                diagonal = diagonal * np.diagonal(w)
+            bound = diagonal.sum(axis=-1) if dtw else diagonal.max(axis=-1)
+        else:
+            p_peak = np.abs(p_arr).max(axis=-1)
+            q_peak = np.abs(q_arr).max(axis=-1)
+            bound = (p_peak + q_peak) * (
+                (n + m - 1 if dtw else 1) * (1.0 if w is None else w.max())
+            )
+        yield bound * (resolution / (adc.full_scale - 2.0 * adc.lsb))
+        if p_peak is None:
+            p_peak = np.abs(p_arr).max(axis=-1)
+            q_peak = np.abs(q_arr).max(axis=-1)
+        yield p_peak * (resolution / (dac.full_scale - dac.lsb))
+        yield q_peak * (resolution / (dac.full_scale - dac.lsb))
+        if dtw:
+            column = np.abs(p_arr - q_arr[..., :1])
+            row = np.abs(p_arr[..., :1] - q_arr)
+            if w is not None:
+                column, row = column * w[:, 0], row * w[0, :]
+            yield column.sum(axis=-1) * (resolution / self.params.vcc)
+            yield row.sum(axis=-1) * (resolution / self.params.vcc)
 
     def _overflowed(self, voltages: np.ndarray, raw) -> np.ndarray:
         """True when the ADC clipped or any internal node ran into a
@@ -1119,6 +1235,14 @@ class DistanceAccelerator:
         column on through the ADC -> DAC boundary and the last tile's
         output is the result; Hausdorff tiles fold their column minima.
         Returns one result per pair.
+
+        An untiled DTW or Hausdorff settle with ``quantise_io`` is
+        auto-ranged: each pair's inputs are scaled by its
+        :meth:`_input_gain` before the DAC and its value decoded back
+        (``AcceleratorResult.gain``); a pair whose settle overflows at
+        a gain above 1 settles again at gain 1 on the same template.
+        Every other settle (the counting functions, the row structure,
+        tiled DP / Hausdorff grids, ``quantise_io=False``) has gain 1.
         """
         n, m = p_arr.shape[-1], q_arr.shape[-1]
         threshold_v = float(threshold) * self.params.voltage_resolution
@@ -1159,6 +1283,15 @@ class DistanceAccelerator:
                 elif config.name == "edit":
                     dp[0, :] = np.arange(m + 1) * self.params.v_step
                     dp[:, 0] = np.arange(n + 1) * self.params.v_step
+        gain = (
+            self._input_gain(
+                config, p_arr, q_arr, None if weights is None else w
+            )
+            if kind == "tile"
+            and self.quantise_io
+            and config.name in AUTORANGED
+            else None
+        )
 
         conversion = 0.0
         t_conv = 0.0 if measure_time else None
@@ -1169,9 +1302,14 @@ class DistanceAccelerator:
         for tile in tiles:
             i0, i1 = tile.row_start, tile.row_end
             j0, j1 = tile.col_start, tile.col_end
+            p_tile = p_arr[..., i0 - 1 : i1]
+            q_tile = q_arr[..., j0 - 1 : j1]
+            if gain is not None:
+                scale = gain if p_arr.ndim == 1 else gain[:, None]
+                p_tile, q_tile = p_tile * scale, q_tile * scale
             inputs = {
-                "p": self._encode_inputs(p_arr[..., i0 - 1 : i1]),
-                "q": self._encode_inputs(q_arr[..., j0 - 1 : j1]),
+                "p": self._encode_inputs(p_tile),
+                "q": self._encode_inputs(q_tile),
             }
             if kind == "dp":
                 inputs["top"] = self._requantise(dp[i0 - 1, j0 : j1 + 1])
@@ -1190,6 +1328,36 @@ class DistanceAccelerator:
             bound = template.bind(inputs)
             voltages = self._solve(bound)
             raw, read, tile_overflow = self._read_out(template, voltages)
+            if gain is not None:
+                # A pair that overflowed at a gain settles again at
+                # unity gain, on the same template.
+                if p_arr.ndim == 1:
+                    if gain > 1.0 and tile_overflow:
+                        bound = template.bind(
+                            {
+                                "p": self._encode_inputs(p_arr),
+                                "q": self._encode_inputs(q_arr),
+                            }
+                        )
+                        raw, read, tile_overflow = self._read_out(
+                            template, self._solve(bound)
+                        )
+                        gain = 1.0
+                else:
+                    again = np.flatnonzero(tile_overflow & (gain > 1.0))
+                    if again.size:
+                        unity = {
+                            "p": self._encode_inputs(p_arr[again]),
+                            "q": self._encode_inputs(q_arr[again]),
+                        }
+                        (
+                            raw[again],
+                            read[again],
+                            tile_overflow[again],
+                        ) = self._read_out(
+                            template, self._solve(template.bind(unity))
+                        )
+                        gain[again] = 1.0
             overflow = overflow | tile_overflow
             blocks += template.n_blocks
             loads, reads = tile.n_rows + tile.n_cols, 1
@@ -1214,12 +1382,21 @@ class DistanceAccelerator:
             raw = read = total
         elif kind == "haud":
             raw = read = np.max(col_min)
-        # ``tolist`` hands a stack's rows over as Python scalars in one
-        # call instead of one NumPy scalar conversion per field.
+        if p_arr.ndim > 1:
+            # ``tolist`` hands a stack's rows over as Python scalars in
+            # one call instead of one NumPy scalar conversion per field.
+            rows = zip(
+                raw.tolist(),
+                read.tolist(),
+                overflow.tolist(),
+                [1.0] * len(raw) if gain is None else gain.tolist(),
+            )
+        else:
+            rows = [(raw, read, overflow, 1.0 if gain is None else gain)]
         return [
             AcceleratorResult(
                 config.name,
-                self._decode(config, adc_v),
+                self._decode(config, adc_v, g),
                 float(raw_v),
                 float(adc_v),
                 t_conv,
@@ -1227,10 +1404,7 @@ class DistanceAccelerator:
                 len(tiles),
                 bool(flag),
                 blocks,
+                g,
             )
-            for raw_v, adc_v, flag in (
-                zip(raw.tolist(), read.tolist(), overflow.tolist())
-                if p_arr.ndim > 1
-                else [(raw, read, overflow)]
-            )
+            for raw_v, adc_v, flag, g in rows
         ]
