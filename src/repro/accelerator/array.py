@@ -514,13 +514,26 @@ class DistanceAccelerator:
         )
 
     def _decode(
-        self, config: FunctionConfig, voltage: float, gain: float = 1.0
-    ) -> float:
+        self,
+        config: FunctionConfig,
+        voltage,
+        gain: Union[float, np.ndarray] = 1.0,
+    ):
         """The distance an ADC sample reads, the input ``gain`` it was
-        settled at divided back out (exact: gains are powers of two)."""
-        if config.decode == "steps":
-            return self.params.decode_steps(voltage)
-        return self.params.decode(voltage) / gain
+        settled at divided back out (exact: gains are powers of two).
+
+        ``voltage`` may be an array of samples, with ``gain`` one per
+        sample or shared: each element divides exactly as one float
+        would (:meth:`~repro.accelerator.params.AcceleratorParams.
+        decode`, ``decode_steps``).
+        """
+        params = self.params
+        unit = (
+            params.v_step
+            if config.decode == "steps"
+            else params.voltage_resolution
+        )
+        return voltage / unit / gain
 
     def _input_gain(
         self,
@@ -813,9 +826,7 @@ class DistanceAccelerator:
             config, pairs, weights, threshold
         )
         _, read, overflow = self._read_out(template, self._solve(bound))
-        values = np.array(
-            [self._decode(config, float(v)) for v in read]
-        )
+        values = self._decode(config, np.asarray(read, dtype=np.float64))
 
         t_conv = None
         if measure_time:
@@ -1385,26 +1396,39 @@ class DistanceAccelerator:
         if p_arr.ndim > 1:
             # ``tolist`` hands a stack's rows over as Python scalars in
             # one call instead of one NumPy scalar conversion per field.
+            gains = [1.0] * len(raw) if gain is None else gain.tolist()
             rows = zip(
+                self._decode(
+                    config, read, 1.0 if gain is None else gain
+                ).tolist(),
                 raw.tolist(),
                 read.tolist(),
                 overflow.tolist(),
-                [1.0] * len(raw) if gain is None else gain.tolist(),
+                gains,
             )
         else:
-            rows = [(raw, read, overflow, 1.0 if gain is None else gain)]
+            g = 1.0 if gain is None else gain
+            rows = [
+                (
+                    float(self._decode(config, read, g)),
+                    float(raw),
+                    float(read),
+                    bool(overflow),
+                    g,
+                )
+            ]
         return [
             AcceleratorResult(
                 config.name,
-                self._decode(config, adc_v, g),
-                float(raw_v),
-                float(adc_v),
+                value,
+                raw_v,
+                adc_v,
                 t_conv,
                 conversion,
                 len(tiles),
-                bool(flag),
+                flag,
                 blocks,
                 g,
             )
-            for raw_v, adc_v, flag, g in rows
+            for value, raw_v, adc_v, flag, g in rows
         ]
