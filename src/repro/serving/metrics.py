@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -106,6 +106,37 @@ class LatencyHistogram:
         elif index > self._last_bucket:
             index = self._last_bucket
         self._counts[index] += 1
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """:meth:`record` each of ``values`` in order, in one call.
+
+        The state ends bit for bit as the sequential calls leave it:
+        the total adds the values one at a time, left to right (not
+        ``sum``, which compensates its float sums from Python 3.12),
+        and ``min``/``max`` compare in the same order as the running
+        extremes do.
+        """
+        floats = [float(value) for value in values]
+        if not floats:
+            return
+        self.count += len(floats)
+        total = self.total
+        for value in floats:
+            total += value
+        self.total = total
+        low, high = min(floats), max(floats)
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
+        edges, last, counts = self._edges, self._last_bucket, self._counts
+        for value in floats:
+            index = bisect.bisect_right(edges, value) - 1
+            if index < 0:
+                index = 0
+            elif index > last:
+                index = last
+            counts[index] += 1
 
     @property
     def counts(self) -> "npt.NDArray[np.int64]":

@@ -117,6 +117,10 @@ _STATUS_COUNTERS = {
 #: bound keeps a long fault campaign from growing it without limit.
 _SETTLE_MEMO_CAPACITY = 1024
 
+#: Caller inputs :meth:`AcceleratorPool._snapshot` remembers across
+#: drains (and the caller arrays it keeps alive by doing so).
+_INPUT_MEMO_CAPACITY = 1024
+
 
 @dataclasses.dataclass(frozen=True)
 class PoolConfig:
@@ -343,17 +347,17 @@ class _Shard:
         #: execution starts no earlier than ``busy_until`` and moves it
         #: to its own finish, so the instants never decrease and the
         #: ones finished by any instant form a prefix.
-        self._unfinished: Deque[float] = deque()
+        self.unfinished: Deque[float] = deque()
 
     def depth_at(self, now: float) -> int:
         """Unfinished work assigned to this shard at instant ``now``."""
-        unfinished = self._unfinished
+        unfinished = self.unfinished
         while unfinished and unfinished[0] <= now:
             unfinished.popleft()
         return len(unfinished) + self.batcher.pending()
 
     def assign(self, finish_s: float, count: int = 1) -> None:
-        self._unfinished.extend([finish_s] * count)
+        self.unfinished.extend([finish_s] * count)
 
 
 class AcceleratorPool:
@@ -405,11 +409,20 @@ class AcceleratorPool:
             Tuple[Optional[int], int], AcceleratorResult
         ] = {}
         self._signature_tokens: Dict[Hashable, int] = {}
+        # Chip -> (fault epoch, token) (see _token).
+        self._chip_tokens: Dict[
+            DistanceAccelerator, Tuple[int, Optional[int]]
+        ] = {}
         self._settle_stacks: Dict[
             Hashable, Tuple[np.ndarray, np.ndarray]
         ] = {}
-        # Inputs submitted since the last drain, by caller object (see
-        # _snapshot), and per-function lookups the request path repeats.
+        # Per-drain plan state (see _place): answers whose bookkeeping
+        # waits for the bulk completion, and each shard's service time
+        # per settle key while its function stays resident.
+        self._planned: List[Tuple] = []
+        self._services: Dict[Tuple[int, Hashable], float] = {}
+        # Inputs submitted, by caller object (see _snapshot), and
+        # per-function lookups the request path repeats.
         self._inputs: Dict[int, Tuple[np.ndarray, np.ndarray, bytes]] = {}
         self._configs: Dict[str, FunctionConfig] = {}
         self._power_w: Dict[str, float] = {}
@@ -532,12 +545,16 @@ class AcceleratorPool:
         that refills its buffer after ``submit`` cannot change a queued
         request, nor the value it caches.  An ndarray the pool could
         have used as is (1-D, contiguous float64), submitted again
-        unchanged before the next drain, gets the same copy back
-        without a second validation.  That keeps one array object per
-        caller object, which is what a row batch's DAC sharing keys
-        on (:meth:`DistanceAccelerator.batch_pairs` loads each distinct
+        unchanged, gets the same copy back without a second validation
+        (a fan-out's query within a drain, a training set across
+        drains).  That keeps one array object per caller object, which
+        is what a row batch's DAC sharing keys on
+        (:meth:`DistanceAccelerator.batch_pairs` loads each distinct
         input object once), so a 1-vs-many fan-out still drives every
-        comparison from one query row.
+        comparison from one query row.  The memo holds the caller's
+        array, so its id cannot name another object while remembered;
+        ``drain`` forgets it past ``_INPUT_MEMO_CAPACITY`` entries,
+        never during a drain's own submits.
         """
         seen = self._inputs.get(id(values))
         if (
@@ -556,26 +573,59 @@ class AcceleratorPool:
         return copy, key
 
     def drain(self) -> List[PoolResponse]:
-        """Serve every pending request; returns their responses."""
+        """Serve every pending request; returns their responses.
+
+        Requests are served in arrival order, on one of two paths.  A
+        request of a settle group (see :meth:`_index_settles`) takes
+        the plan step (:meth:`_place`), whose bookkeeping waits for one
+        bulk completion (:meth:`_complete_planned`); every other
+        request takes the sequential path (:meth:`_admit`).  The
+        planned answers are completed, in request order, before
+        anything of the sequential path runs (a request, a batch flush
+        or a BIST sweep), so both paths leave the state one request at
+        a time leaves, bit for bit.
+        """
         requests = sorted(self._pending, key=_ARRIVAL_ORDER)
         self._pending = []
-        self._inputs = {}
+        if len(self._inputs) > _INPUT_MEMO_CAPACITY:
+            self._inputs = {}
         if len(requests) > 1:
             self._index_settles(requests)
+        grouped = self._settle_key_of
+        interval = self.config.bist_interval_s
+        batchers = [shard.batcher for shard in self.shards]
+        # Only the sequential path adds to or flushes a batcher, so
+        # this holds across a run of planned requests.
+        batching = any(batcher.pending() for batcher in batchers)
         try:
             for request in requests:
+                now = request.arrival_s
                 if self._first_arrival is None:
-                    self._first_arrival = request.arrival_s
-                self._maybe_bist(request.arrival_s)
-                self._flush(request.arrival_s)
-                self._admit(request)
+                    self._first_arrival = now
+                if batching or (
+                    interval > 0 and now - self._last_bist_s >= interval
+                ):
+                    self._complete_planned()
+                    self._maybe_bist(now)
+                    self._flush(now)
+                    batching = any(b.pending() for b in batchers)
+                if request.id in grouped:
+                    self._place(request)
+                else:
+                    self._complete_planned()
+                    self._admit(request)
+                    batching = any(b.pending() for b in batchers)
+            self._complete_planned()
             self._flush()
         finally:
+            self._complete_planned()
             self._settle_groups = {}
             self._settle_key_of = {}
             self._settled_rows = {}
             self._settle_stacks = {}
             self._signature_tokens = {}
+            self._chip_tokens = {}
+            self._services = {}
         self._virtual_now = max(self._virtual_now, self._last_finish)
         done = [self.responses[r.id] for r in requests]
         return sorted(done, key=_RESPONSE_ORDER)
@@ -591,6 +641,77 @@ class AcceleratorPool:
         return self._virtual_now
 
     # -- scheduling ----------------------------------------------------------
+    def _place(self, request: PoolRequest) -> None:
+        """The plan step of one settle-group request.
+
+        What :meth:`_admit` and :meth:`_execute_single` do for a
+        request with no deadline, no batching and no hedging: the cache
+        lookup, the shard choice, shedding at a full queue and the
+        ``start = max(arrival, busy_until)`` recurrence, with the
+        settle taken from the group's shared solve (:meth:`_compute`).
+        Only what a later placement reads is booked at once (the
+        shard's queue and ``busy_until``, a reconfiguration, the cached
+        value); the answer joins the planned ones.  A settle that
+        overflowed, or one on a shard whose breaker is not closed, needs
+        its breaker verdict in order: it completes at once, after the
+        planned answers.
+        """
+        arrival = request.arrival_s
+        cached = self.cache.get(request.cache_key)
+        if cached is not None:
+            self._planned.append(
+                (request, None, cached, arrival, arrival, 0.0)
+            )
+            return
+        shard, depth = self._pick_shard(request)
+        if depth >= self.config.queue_depth:
+            self._planned.append(
+                (request, shard, None, arrival, arrival, 0.0)
+            )
+            return
+        breaker = shard.breaker
+        closed = breaker.closed
+        if not closed:
+            breaker.acquire_probe(arrival)
+        start = max(arrival, shard.busy_until)
+        function = request.function
+        acc = shard.accelerator
+        token = self._token(acc)
+        result = self._settled_rows.pop((token, request.id), None)
+        if result is None:
+            result = self._compute(acc, request, token)
+        n, m = request.p.shape[0], request.q.shape[0]
+        if shard.current_function != function:
+            service = service_s(
+                function, n, m, acc.dac, acc.adc,
+                self._reconfigure(shard, function)
+                + settle_s(function, n, m),
+            )
+        else:
+            # With no reconfiguration (reconfig + settle == settle)
+            # the service time is one value per shard and settle key.
+            memo = (shard.index, request.settle_key)
+            service = self._services.get(memo)
+            if service is None:
+                service = self._services[memo] = service_s(
+                    function, n, m, acc.dac, acc.adc
+                )
+        if result.overflow or not closed:
+            self._complete_planned()
+            self.metrics.counter("cache_misses").inc()
+            self._complete(
+                shard, [request], [result.value], result.overflow,
+                start, service,
+            )
+            return
+        finish = start + service
+        shard.busy_until = finish
+        shard.assign(finish)
+        self.cache.put(request.cache_key, result.value)
+        self._planned.append(
+            (request, shard, result.value, start, finish, service)
+        )
+
     def _admit(self, request: PoolRequest) -> None:
         cached = self.cache.get(request.cache_key)
         self.metrics.counter(
@@ -668,29 +789,34 @@ class AcceleratorPool:
         ties."""
         now = request.arrival_s
         function = request.function
-        batch_key = (function, request.options)
-        best: Optional[Tuple[int, int, float, int]] = None
+        batch_key = None
+        best: Optional[_Shard] = None
+        best_depth = 0
+        best_rank: Tuple[int, float] = (0, 0.0)
         for shard in self.shards:
             if shard.quarantined or not shard.breaker.available(now):
                 continue
-            depth = shard.depth_at(now)
-            if best is not None and depth > best[0]:
+            # shard.depth_at(now), inline: this runs per shard on every
+            # placement.
+            unfinished = shard.unfinished
+            while unfinished and unfinished[0] <= now:
+                unfinished.popleft()
+            depth = len(unfinished) + shard.batcher.pending()
+            if best is not None and depth > best_depth:
                 continue
-            score = (
-                depth,
-                0
-                if (
-                    shard.current_function == function
-                    or shard.batcher.pending_for(batch_key) > 0
-                )
-                else 1,
-                shard.busy_until,
-                shard.index,
-            )
-            if best is None or score < best:
-                best = score
+            if shard.current_function == function:
+                affinity = 0
+            else:
+                if batch_key is None:
+                    batch_key = (function, request.options)
+                affinity = 0 if shard.batcher.pending_for(batch_key) else 1
+            # Shards go in index order, so the first of equal scores
+            # keeps the lower index.
+            rank = (affinity, shard.busy_until)
+            if best is None or depth < best_depth or rank < best_rank:
+                best, best_depth, best_rank = shard, depth, rank
         if best is not None:
-            return self.shards[best[3]], best[0]
+            return best, best_depth
         active = self._active_shards()
         if not active:
             raise ShardUnhealthyError(
@@ -950,16 +1076,32 @@ class AcceleratorPool:
         return self._settle_cache[key]
 
     def _index_settles(self, requests: List[PoolRequest]) -> None:
-        """Group a drain's requests by settle key for :meth:`_compute`.
+        """Group a drain's requests by settle key: each request of a
+        group takes the plan step (:meth:`_place`).
 
         Only keys shared by two or more requests are kept: a lone
-        request has nothing to share its settle with.  (Row-structure
-        requests the batcher serves are indexed too but never looked
-        up.)
+        request has nothing to share its settle with.  A request whose
+        placement reads something produced during the drain stays on
+        the sequential path and in no group: its deadline, the
+        batcher's buckets (a row-structure request with batching on),
+        the latency histogram (hedging), measured settle times, or a
+        breaker's latency SLO verdicts.
         """
+        config = self.config
+        if (
+            config.enable_hedging
+            or config.latency_model != "calibrated"
+            or config.breaker.latency_slo_s is not None
+        ):
+            return
+        batching = config.enable_batching
         groups: Dict[Hashable, List[PoolRequest]] = {}
         for request in requests:
-            if not set(request.kwargs) <= _COALESCE_KWARGS:
+            if (
+                request.deadline_s is not None
+                or (batching and request.structure == "row")
+                or not set(request.kwargs) <= _COALESCE_KWARGS
+            ):
                 continue
             groups.setdefault(request.settle_key, []).append(request)
         self._settle_groups = {
@@ -972,40 +1114,29 @@ class AcceleratorPool:
         }
 
     def _compute(
-        self, acc: DistanceAccelerator, request: PoolRequest
+        self,
+        acc: DistanceAccelerator,
+        request: PoolRequest,
+        token: Optional[int],
     ) -> AcceleratorResult:
-        """``acc``'s result for ``request``, from a coalesced settle.
+        """``acc``'s result for a settle-group request with no settled
+        row under ``acc``'s ``token`` (see :meth:`_token`).
 
-        The first request of a settle key to execute on a chip solves,
-        in one :meth:`DistanceAccelerator.compute_many` call, itself
-        plus up to ``COALESCE_MAX_ROWS - 1`` other unserved requests of
-        the drain sharing its key.  The extra rows are kept under the
-        chip's value signature, so a later request placed on any chip
-        with the same signature takes its row instead of settling
-        again; on a chip with another signature it settles anew.  Each
-        row is bit-identical to ``acc.compute`` on that request, and
-        all virtual-time bookkeeping stays per request in the caller —
-        only the host-side simulation is shared.
+        The first request of a group to be placed on a chip solves, in
+        one :meth:`DistanceAccelerator.compute_many` call, itself plus
+        up to ``COALESCE_MAX_ROWS - 1`` of the group's later requests
+        (the earlier ones are placed already).  The extra rows are kept
+        under the chip's value signature, so a later request placed on
+        any chip with the same signature takes its row instead of
+        settling again; on a chip with another signature it settles
+        anew.  Each row is bit-identical to ``acc.compute`` on that
+        request; only the host-side simulation is shared.
 
-        The settle key's inputs are stacked once per drain, the first
-        time any of its requests settles; each ``compute_many`` takes
-        its rows of those stacks as :class:`StackedPairs`, which
-        ``submit`` already validated row by row.
+        The group's inputs are stacked once per drain, the first time
+        any of its requests settles; each ``compute_many`` takes its
+        rows of those stacks as :class:`StackedPairs`, which ``submit``
+        already validated row by row.
         """
-        entry = self._settle_key_of.get(request.id)
-        signature = None if entry is None else acc.value_signature()
-        # Rows are kept under a small int per signature: a signature
-        # hashes its frozen parameter dataclasses on every lookup.
-        token = (
-            None
-            if signature is None
-            else self._signature_tokens.setdefault(
-                signature, len(self._signature_tokens)
-            )
-        )
-        settled = self._settled_rows.pop((token, request.id), None)
-        if settled is not None:
-            return settled
         if token is None or not acc.vectorizes(
             request.function, request.p.shape[0], request.q.shape[0]
         ):
@@ -1016,19 +1147,14 @@ class AcceleratorPool:
                 weights=request.weights,
                 **request.kwargs,
             )
-        key, row = entry
+        key, row = self._settle_key_of[request.id]
         group = self._settle_groups[key]
         rows = [row]
-        for k, other in enumerate(group):
+        for k in range(row + 1, len(group)):
             if len(rows) >= COALESCE_MAX_ROWS:
                 break
-            if (
-                other is request
-                or other.id in self.responses
-                or (token, other.id) in self._settled_rows
-            ):
-                continue
-            rows.append(k)
+            if (token, group[k].id) not in self._settled_rows:
+                rows.append(k)
         stacks = self._settle_stacks.get(key)
         if stacks is None:
             stacks = self._settle_stacks[key] = (
@@ -1044,6 +1170,28 @@ class AcceleratorPool:
         for k, result in zip(rows[1:], results[1:]):
             self._settled_rows[(token, group[k].id)] = result
         return results[0]
+
+    def _token(self, acc: DistanceAccelerator) -> Optional[int]:
+        """Small int naming ``acc``'s value signature in this drain
+        (``None`` without one), under which settled rows are kept.
+
+        A signature hashes its frozen parameter dataclasses on every
+        lookup, so each chip's token is kept for its fault epoch: a
+        fault, a repair or a recalibration bumps the epoch.
+        """
+        kept = self._chip_tokens.get(acc)
+        if kept is not None and kept[0] == acc.fault_epoch:
+            return kept[1]
+        signature = acc.value_signature()
+        token = (
+            None
+            if signature is None
+            else self._signature_tokens.setdefault(
+                signature, len(self._signature_tokens)
+            )
+        )
+        self._chip_tokens[acc] = (acc.fault_epoch, token)
+        return token
 
     def _maybe_hedge(
         self, shard: _Shard, request: PoolRequest
@@ -1100,7 +1248,13 @@ class AcceleratorPool:
         shard, hedged = self._maybe_hedge(shard, request)
         start = max(request.arrival_s, shard.busy_until)
         reconfig = self._reconfigure(shard, request.function)
-        result = self._compute(shard.accelerator, request)
+        result = shard.accelerator.compute(
+            request.function,
+            request.p,
+            request.q,
+            weights=request.weights,
+            **request.kwargs,
+        )
         service = service_s(
             request.function,
             request.p.shape[0],
@@ -1190,12 +1344,7 @@ class AcceleratorPool:
         shard.assign(finish, count)
         self._last_finish = max(self._last_finish, finish)
         function = requests[0].function
-        power_w = self._power_w.get(function)
-        if power_w is None:
-            power_w = self._power_w[function] = accelerator_power(
-                function
-            ).total_w
-        self._energy_j += service_s * power_w
+        self._energy_j += service_s * self._power(function)
         if requests[0].structure == "row":
             self._row_busy_s += service_s
         if overflow:
@@ -1227,6 +1376,106 @@ class AcceleratorPool:
                 batch_size=count,
                 hedged=hedged,
             )
+
+    def _power(self, function: str) -> float:
+        """Busy power (W) of a chip configured for ``function``."""
+        power_w = self._power_w.get(function)
+        if power_w is None:
+            power_w = self._power_w[function] = accelerator_power(
+                function
+            ).total_w
+        return power_w
+
+    def _complete_planned(self) -> None:
+        """The bulk completion of the planned answers (see :meth:`_place`).
+
+        In request order: the busy time, served count, energy and
+        breaker success of each executed request, and one list of
+        :class:`PoolResponse` (an executed request answers ``"ok"`` at
+        its finish, a cache hit at its arrival, a shed request with no
+        value).  Then each status and cache counter goes up once by its
+        tally, and each latency histogram takes its answers' latencies
+        in one :meth:`~repro.serving.metrics.LatencyHistogram.
+        record_many` — the state :meth:`_complete` and :meth:`_reply`
+        leave one request at a time.
+        """
+        planned = self._planned
+        if not planned:
+            return
+        self._planned = []
+        responses = []
+        latencies: List[float] = []
+        by_function: Dict[str, List[float]] = {}
+        hits = served = 0
+        energy_j = self._energy_j
+        row_busy_s = self._row_busy_s
+        last_finish = self._last_finish
+        power_w = self._power_w
+        for request, shard, value, start, finish, service in planned:
+            arrival = request.arrival_s
+            function = request.function
+            if shard is None:
+                hits += 1
+                status, index = "ok", None
+            elif value is None:
+                status, index = "shed", shard.index
+            else:
+                served += 1
+                status, index = "ok", shard.index
+                value = float(value)
+                shard.busy_s += service
+                shard.served += 1
+                if finish > last_finish:
+                    last_finish = finish
+                power = power_w.get(function)
+                if power is None:
+                    power = self._power(function)
+                energy_j += service * power
+                if request.structure == "row":
+                    row_busy_s += service
+                shard.breaker.on_success(finish)
+            # Positional, in field order (see ``submit``).
+            responses.append(
+                PoolResponse(
+                    request.id,
+                    function,
+                    status,
+                    value,
+                    arrival,
+                    start,
+                    finish,
+                    index,
+                    shard is None,
+                    False,
+                    1,
+                    False,
+                )
+            )
+            if value is not None:
+                latency = finish - arrival
+                latencies.append(latency)
+                by_function.setdefault(function, []).append(latency)
+        self._energy_j = energy_j
+        self._row_busy_s = row_busy_s
+        self._last_finish = last_finish
+        self.responses.update(
+            (response.request_id, response) for response in responses
+        )
+        counter = self.metrics.counter
+        shed = len(planned) - hits - served
+        for name, tally in (
+            ("cache_hits", hits),
+            ("cache_misses", served + shed),
+            ("served", hits + served),
+            ("shed", shed),
+        ):
+            if tally:
+                counter(name).inc(tally)
+        if latencies:
+            histogram = self.metrics.histogram
+            histogram("latency").record_many(latencies)
+            for function, values in by_function.items():
+                histogram(f"latency.{function}").record_many(values)
 
     def _reply(
         self,

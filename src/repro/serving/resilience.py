@@ -248,6 +248,12 @@ class CircuitBreaker:
         )
         return min(grown, self.config.max_cooldown_s)
 
+    @property
+    def closed(self) -> bool:
+        """Closed now?  (A closed breaker has no cooldown to resolve,
+        so this holds at every later instant until an event opens it.)"""
+        return self._state == CLOSED
+
     def failure_rate(self) -> float:
         """Failure fraction over the closed-state window."""
         if not self._outcomes:

@@ -31,7 +31,7 @@ FAULTS = (
 )
 
 
-def _eager(self, acc, request):
+def _eager(self, acc, request, token):
     return acc.compute(
         request.function,
         request.p,
@@ -271,18 +271,23 @@ class TestDrainState:
     def test_rows_cleared_when_drain_raises(self, rng):
         pool = AcceleratorPool(n_shards=2)
         stored = []
-        original = pool._execute_single
+        original = pool._pick_shard
 
-        def failing(shard, request):
-            if stored:
+        def failing(request):
+            # Fail the second placement, after the first one solved
+            # the group and kept its other rows.
+            if pool._planned:
+                stored.append(len(pool._settled_rows))
                 raise RuntimeError("boom")
-            original(shard, request)
-            stored.append(len(pool._settled_rows))
+            return original(request)
 
-        pool._execute_single = failing
+        pool._pick_shard = failing
         with pytest.raises(RuntimeError):
             _serve(pool, _fanout(rng, users=1, train=8))
         assert stored == [7]
+        # The request placed before the failure was answered.
+        assert pool.responses[0].status == "ok"
+        assert not pool._planned
         assert not pool._settled_rows
         assert not pool._settle_groups
         assert not pool._settle_key_of
