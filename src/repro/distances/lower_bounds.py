@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..validation import (
     as_sequence,
@@ -58,19 +59,24 @@ def keogh_envelope(
     """Return the (upper, lower) Keogh envelope of ``q``.
 
     ``U[i] = max(q[i-r : i+r+1])`` and ``L[i] = min(...)`` where ``r``
-    is the Sakoe-Chiba radius.
+    is the Sakoe-Chiba radius.  Every window is reduced in one pass
+    over a view of ``q`` padded by ``r`` infinities on each side.
+    Equal floats share their bits except ``+0.0`` and ``-0.0``, whose
+    tie a reduction may break either way, so a zero of the envelope is
+    taken from its own window of ``q``, reduced alone.
     """
     q = as_sequence(q, "q")
     n = q.shape[0]
-    r = resolve_band(band, n, n)
-    upper = np.empty(n)
-    lower = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - r)
-        hi = min(n, i + r + 1)
-        upper[i] = np.max(q[lo:hi])
-        lower[i] = np.min(q[lo:hi])
-    return upper, lower
+    r = min(resolve_band(band, n, n), n - 1)
+    envelope = []
+    for reduce, pad in ((np.max, -np.inf), (np.min, np.inf)):
+        padded = np.full(n + 2 * r, pad)
+        padded[r : r + n] = q
+        bound = reduce(sliding_window_view(padded, 2 * r + 1), axis=1)
+        for i in np.flatnonzero(bound == 0.0).tolist():
+            bound[i] = reduce(q[max(0, i - r) : i + r + 1])
+        envelope.append(bound)
+    return envelope[0], envelope[1]
 
 
 def lb_keogh(

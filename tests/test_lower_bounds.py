@@ -55,6 +55,54 @@ class TestKeoghEnvelope:
         assert np.all(lower == -2.0)
 
 
+def _envelope_loop(q, r):
+    """The per-window reference: 2 NumPy reductions per element."""
+    n = q.shape[0]
+    upper, lower = np.empty(n), np.empty(n)
+    for i in range(n):
+        lo, hi = max(0, i - r), min(n, i + r + 1)
+        upper[i] = np.max(q[lo:hi])
+        lower[i] = np.min(q[lo:hi])
+    return upper, lower
+
+
+class TestKeoghEnvelopeBits:
+    """The one-pass envelope against the per-window loop, bit for bit
+    (``float.hex`` tells ``+0.0`` from ``-0.0``)."""
+
+    @staticmethod
+    def _assert_same_bits(q, band, r):
+        got = keogh_envelope(q, band=band)
+        want = _envelope_loop(np.asarray(q, dtype=np.float64), r)
+        for g, w in zip(got, want):
+            assert [v.hex() for v in g.tolist()] == [
+                v.hex() for v in w.tolist()
+            ]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33])
+    @pytest.mark.parametrize("radius", [0, 1, 3, 40])
+    def test_random_series(self, n, radius):
+        rng = np.random.default_rng([n, radius])
+        q = rng.normal(size=n)
+        self._assert_same_bits(q, radius, min(radius, n))
+
+    @pytest.mark.parametrize("radius", [0, 1, 2, 7])
+    def test_signed_zero_ties(self, radius):
+        rng = np.random.default_rng(radius)
+        for _ in range(20):
+            # Only zeros and negatives: every window's max is a zero,
+            # often a tie of +0.0 and -0.0 (and symmetrically for min).
+            q = rng.choice([0.0, -0.0, -1.0], size=12)
+            self._assert_same_bits(q, radius, radius)
+            self._assert_same_bits(-q, radius, radius)
+
+    def test_full_band_and_length_one(self):
+        q = np.array([0.0, -0.0, -3.0, 2.0, -0.0])
+        self._assert_same_bits(q, None, q.shape[0])
+        self._assert_same_bits(np.array([-0.0]), None, 1)
+        self._assert_same_bits(np.array([7.5]), 0, 0)
+
+
 class TestLbKeogh:
     def test_zero_inside_envelope(self):
         q = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
