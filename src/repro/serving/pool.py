@@ -421,6 +421,10 @@ class AcceleratorPool:
         # per settle key while its function stays resident.
         self._planned: List[Tuple] = []
         self._services: Dict[Tuple[int, Hashable], float] = {}
+        # The shard scores of the last placement, and the (arrival,
+        # function, options) they were taken for (see _place).
+        self._plan_scores: Optional[List[Tuple[int, int, float, int]]] = None
+        self._plan_key: Tuple = ()
         # Inputs submitted, by caller object (see _snapshot), and
         # per-function lookups the request path repeats.
         self._inputs: Dict[int, Tuple[np.ndarray, np.ndarray, bytes]] = {}
@@ -655,6 +659,13 @@ class AcceleratorPool:
         overflowed, or one on a shard whose breaker is not closed, needs
         its breaker verdict in order: it completes at once, after the
         planned answers.
+
+        The shard scores (:meth:`_scores`) are kept from one placement
+        to the next at the same arrival, function and options, with
+        only the chosen shard's score updated: nothing else a score
+        reads changes until the sequential path runs, and
+        :meth:`_complete_planned`, which always runs first, forgets
+        them.
         """
         arrival = request.arrival_s
         cached = self.cache.get(request.cache_key)
@@ -663,7 +674,14 @@ class AcceleratorPool:
                 (request, None, cached, arrival, arrival, 0.0)
             )
             return
-        shard, depth = self._pick_shard(request)
+        key = (arrival, request.function, request.options)
+        scores = self._plan_scores
+        if scores is None or key != self._plan_key:
+            scores = self._plan_scores = self._scores(request)
+            self._plan_key = key
+        best = min(scores)
+        depth = best[0]
+        shard = self.shards[best[3]]
         if depth >= self.config.queue_depth:
             self._planned.append(
                 (request, shard, None, arrival, arrival, 0.0)
@@ -707,6 +725,9 @@ class AcceleratorPool:
         finish = start + service
         shard.busy_until = finish
         shard.assign(finish)
+        # Its new score: one more unfinished settle (finishing after
+        # the arrival), the function resident, busy until the finish.
+        scores[scores.index(best)] = (depth + 1, 0, finish, shard.index)
         self.cache.put(request.cache_key, result.value)
         self._planned.append(
             (request, shard, result.value, start, finish, service)
@@ -783,16 +804,18 @@ class AcceleratorPool:
             if not s.quarantined and s.breaker.available(now)
         ]
 
-    def _pick_shard(self, request: PoolRequest) -> Tuple[_Shard, int]:
-        """Least-loaded placeable shard (see :meth:`_placeable_shards`)
-        and its queue depth at arrival; function affinity breaks depth
-        ties."""
+    def _scores(
+        self, request: PoolRequest
+    ) -> List[Tuple[int, int, float, int]]:
+        """Placement score of each placeable shard (see
+        :meth:`_placeable_shards`) at the request's arrival: its queue
+        depth, then 0 when the request's function is resident or
+        batching there (else 1), then ``busy_until``, then its index.
+        The least score places the request."""
         now = request.arrival_s
         function = request.function
-        batch_key = None
-        best: Optional[_Shard] = None
-        best_depth = 0
-        best_rank: Tuple[int, float] = (0, 0.0)
+        batch_key = (function, request.options)
+        scores = []
         for shard in self.shards:
             if shard.quarantined or not shard.breaker.available(now):
                 continue
@@ -801,22 +824,30 @@ class AcceleratorPool:
             unfinished = shard.unfinished
             while unfinished and unfinished[0] <= now:
                 unfinished.popleft()
-            depth = len(unfinished) + shard.batcher.pending()
-            if best is not None and depth > best_depth:
-                continue
-            if shard.current_function == function:
-                affinity = 0
-            else:
-                if batch_key is None:
-                    batch_key = (function, request.options)
-                affinity = 0 if shard.batcher.pending_for(batch_key) else 1
-            # Shards go in index order, so the first of equal scores
-            # keeps the lower index.
-            rank = (affinity, shard.busy_until)
-            if best is None or depth < best_depth or rank < best_rank:
-                best, best_depth, best_rank = shard, depth, rank
-        if best is not None:
-            return best, best_depth
+            batcher = shard.batcher
+            scores.append(
+                (
+                    len(unfinished) + batcher.pending(),
+                    0
+                    if shard.current_function == function
+                    or batcher.pending_for(batch_key)
+                    else 1,
+                    shard.busy_until,
+                    shard.index,
+                )
+            )
+        if not scores:
+            self._no_shard(request)
+        return scores
+
+    def _pick_shard(self, request: PoolRequest) -> Tuple[_Shard, int]:
+        """Least-scored shard (see :meth:`_scores`) and its queue depth
+        at arrival."""
+        depth, _, _, index = min(self._scores(request))
+        return self.shards[index], depth
+
+    def _no_shard(self, request: PoolRequest) -> None:
+        """Raise why no shard can take ``request`` at its arrival."""
         active = self._active_shards()
         if not active:
             raise ShardUnhealthyError(
@@ -826,7 +857,7 @@ class AcceleratorPool:
             )
         raise CircuitOpenError(
             f"all {len(active)} active shards sit behind open "
-            f"circuit breakers at t={now:.3g}s; "
+            f"circuit breakers at t={request.arrival_s:.3g}s; "
             f"request {request.id} ({request.function}) must "
             "wait out the cooldown or degrade to the digital "
             "fallback"
@@ -1100,7 +1131,10 @@ class AcceleratorPool:
             if (
                 request.deadline_s is not None
                 or (batching and request.structure == "row")
-                or not set(request.kwargs) <= _COALESCE_KWARGS
+                or (
+                    request.kwargs
+                    and not set(request.kwargs) <= _COALESCE_KWARGS
+                )
             ):
                 continue
             groups.setdefault(request.settle_key, []).append(request)
@@ -1161,9 +1195,11 @@ class AcceleratorPool:
                 np.stack([r.p for r in group]),
                 np.stack([r.q for r in group]),
             )
+        if len(rows) < len(group):
+            stacks = (stacks[0][rows], stacks[1][rows])
         results = acc.compute_many(
             request.function,
-            StackedPairs(stacks[0][rows], stacks[1][rows]),
+            StackedPairs(*stacks),
             weights=request.weights,
             **request.kwargs,
         )
@@ -1397,8 +1433,10 @@ class AcceleratorPool:
         tally, and each latency histogram takes its answers' latencies
         in one :meth:`~repro.serving.metrics.LatencyHistogram.
         record_many` — the state :meth:`_complete` and :meth:`_reply`
-        leave one request at a time.
+        leave one request at a time.  The plan step's shard scores are
+        forgotten: the sequential path runs next.
         """
+        self._plan_scores = None
         planned = self._planned
         if not planned:
             return

@@ -271,17 +271,17 @@ class TestDrainState:
     def test_rows_cleared_when_drain_raises(self, rng):
         pool = AcceleratorPool(n_shards=2)
         stored = []
-        original = pool._pick_shard
+        original = pool._token
 
-        def failing(request):
+        def failing(acc):
             # Fail the second placement, after the first one solved
             # the group and kept its other rows.
             if pool._planned:
                 stored.append(len(pool._settled_rows))
                 raise RuntimeError("boom")
-            return original(request)
+            return original(acc)
 
-        pool._pick_shard = failing
+        pool._token = failing
         with pytest.raises(RuntimeError):
             _serve(pool, _fanout(rng, users=1, train=8))
         assert stored == [7]

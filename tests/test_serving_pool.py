@@ -107,6 +107,38 @@ class TestMetrics:
         assert hist.mean == 0.0
         assert hist.percentile(99.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "batches",
+        [
+            # A float sum that compensates (``sum`` from Python 3.12)
+            # reads 1.000000003 here; one add at a time reads 3e-9.
+            [[1e16, 1.0, -1e16, 3e-9]],
+            [[2.0, 0.0, -0.0], [], [-0.0, 0.0, 5e-10], [1e3, 1e-12]],
+            [[0.1] * 7, [0.2, 0.3], [1e-9, 1e2, 1e2]],
+        ],
+    )
+    def test_record_many_matches_sequential_record(self, batches):
+        bulk = LatencyHistogram("bulk")
+        one = LatencyHistogram("one")
+        for batch in batches:
+            bulk.record_many(batch)
+            for value in batch:
+                one.record(value)
+
+        def bits(hist):
+            # float.hex tells +0.0 from -0.0 and catches a last-ulp
+            # difference in the total.
+            return (
+                hist.count,
+                hist.total.hex(),
+                None if hist._min is None else hist._min.hex(),
+                None if hist._max is None else hist._max.hex(),
+                hist.counts.tolist(),
+            )
+
+        assert bits(bulk) == bits(one)
+        assert bulk.as_dict() == one.as_dict()
+
     def test_registry_round_trips_json(self):
         registry = MetricsRegistry()
         registry.counter("served").inc()
