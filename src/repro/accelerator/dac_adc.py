@@ -58,11 +58,14 @@ class ConverterSpec:
     def quantise(self, voltages) -> np.ndarray:
         """Round to the converter grid, clipping at full scale."""
         v = np.asarray(voltages, dtype=np.float64)
+        lsb = self.lsb
         lo = -self.full_scale if self.bipolar else 0.0
-        hi = self.full_scale
-        clipped = np.clip(v, lo, hi - self.lsb)
-        codes = np.round((clipped - lo) / self.lsb)
-        return lo + codes * self.lsb
+        # np.clip and np.round, as their ufuncs: this runs on every
+        # DAC load and ADC read, and the wrappers cost more than the
+        # arithmetic.
+        clipped = np.minimum(np.maximum(v, lo), self.full_scale - lsb)
+        codes = np.rint((clipped - lo) / lsb)
+        return lo + codes * lsb
 
     def conversion_time(self, n_samples: int, n_converters: int = 1) -> float:
         """Seconds to move ``n_samples`` through ``n_converters``."""
