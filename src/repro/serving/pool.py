@@ -60,6 +60,7 @@ from typing import (
     Dict,
     Hashable,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -347,17 +348,17 @@ class _Shard:
         #: execution starts no earlier than ``busy_until`` and moves it
         #: to its own finish, so the instants never decrease and the
         #: ones finished by any instant form a prefix.
-        self.unfinished: Deque[float] = deque()
+        self._unfinished: Deque[float] = deque()
 
     def depth_at(self, now: float) -> int:
         """Unfinished work assigned to this shard at instant ``now``."""
-        unfinished = self.unfinished
+        unfinished = self._unfinished
         while unfinished and unfinished[0] <= now:
             unfinished.popleft()
         return len(unfinished) + self.batcher.pending()
 
     def assign(self, finish_s: float, count: int = 1) -> None:
-        self.unfinished.extend([finish_s] * count)
+        self._unfinished.extend([finish_s] * count)
 
 
 class AcceleratorPool:
@@ -701,9 +702,12 @@ class AcceleratorPool:
         n, m = request.p.shape[0], request.q.shape[0]
         if shard.current_function != function:
             service = service_s(
-                function, n, m, acc.dac, acc.adc,
-                self._reconfigure(shard, function)
-                + settle_s(function, n, m),
+                function,
+                n,
+                m,
+                acc.dac,
+                acc.adc,
+                self._reconfigure(shard, function) + settle_s(function, n, m),
             )
         else:
             # With no reconfiguration (reconfig + settle == settle)
@@ -718,8 +722,12 @@ class AcceleratorPool:
             self._complete_planned()
             self.metrics.counter("cache_misses").inc()
             self._complete(
-                shard, [request], [result.value], result.overflow,
-                start, service,
+                shard,
+                [request],
+                [result.value],
+                result.overflow,
+                start,
+                service,
             )
             return
         finish = start + service
@@ -819,18 +827,12 @@ class AcceleratorPool:
         for shard in self.shards:
             if shard.quarantined or not shard.breaker.available(now):
                 continue
-            # shard.depth_at(now), inline: this runs per shard on every
-            # placement.
-            unfinished = shard.unfinished
-            while unfinished and unfinished[0] <= now:
-                unfinished.popleft()
-            batcher = shard.batcher
             scores.append(
                 (
-                    len(unfinished) + batcher.pending(),
+                    shard.depth_at(now),
                     0
                     if shard.current_function == function
-                    or batcher.pending_for(batch_key)
+                    or shard.batcher.pending_for(batch_key)
                     else 1,
                     shard.busy_until,
                     shard.index,
@@ -846,7 +848,7 @@ class AcceleratorPool:
         depth, _, _, index = min(self._scores(request))
         return self.shards[index], depth
 
-    def _no_shard(self, request: PoolRequest) -> None:
+    def _no_shard(self, request: PoolRequest) -> NoReturn:
         """Raise why no shard can take ``request`` at its arrival."""
         active = self._active_shards()
         if not active:
