@@ -417,18 +417,16 @@ class AcceleratorPool:
         self._settle_stacks: Dict[
             Hashable, Tuple[np.ndarray, np.ndarray]
         ] = {}
-        # Per-drain plan state (see _place): answers whose bookkeeping
+        # Per-drain plan state (see _plan): answers whose bookkeeping
         # waits for the bulk completion, and each shard's service time
         # per settle key while its function stays resident.
         self._planned: List[Tuple] = []
         self._services: Dict[Tuple[int, Hashable], float] = {}
-        # The shard scores of the last placement, and the (arrival,
-        # function, options) they were taken for (see _place).
-        self._plan_scores: Optional[List[Tuple[int, int, float, int]]] = None
-        self._plan_key: Tuple = ()
         # Inputs submitted, by caller object (see _snapshot), and
         # per-function lookups the request path repeats.
-        self._inputs: Dict[int, Tuple[np.ndarray, np.ndarray, bytes]] = {}
+        self._inputs: Dict[
+            int, Tuple[np.ndarray, np.ndarray, bytes, bytes]
+        ] = {}
         self._configs: Dict[str, FunctionConfig] = {}
         self._power_w: Dict[str, float] = {}
         self._energy_j = 0.0
@@ -467,6 +465,7 @@ class AcceleratorPool:
             "shards_replaced",
         ):
             self.metrics.counter(name)
+        self._requests = self.metrics.counter("requests")
 
     # -- client API ----------------------------------------------------------
     def submit(
@@ -540,7 +539,7 @@ class AcceleratorPool:
         )
         self._next_id += 1
         self._pending.append(request)
-        self.metrics.counter("requests").inc()
+        self._requests.inc()
         return request.id
 
     def _snapshot(self, values, name: str) -> Tuple[np.ndarray, bytes]:
@@ -566,15 +565,15 @@ class AcceleratorPool:
             seen is not None
             and seen[0] is values
             and values.shape == seen[1].shape
-            and values.dtype == seen[1].dtype
-            and values.tobytes() == seen[1].tobytes()
+            and values.dtype is seen[1].dtype
+            and values.tobytes() == seen[3]
         ):
             return seen[1], seen[2]
         checked = as_sequence(values, name)
         copy = checked.copy()
         key = quantise_key(copy, KEY_RESOLUTION)
         if checked is values:
-            self._inputs[id(values)] = (values, copy, key)
+            self._inputs[id(values)] = (values, copy, key, copy.tobytes())
         return copy, key
 
     def drain(self) -> List[PoolResponse]:
@@ -582,7 +581,7 @@ class AcceleratorPool:
 
         Requests are served in arrival order, on one of two paths.  A
         request of a settle group (see :meth:`_index_settles`) takes
-        the plan step (:meth:`_place`), whose bookkeeping waits for one
+        the plan loop (:meth:`_plan`), whose bookkeeping waits for one
         bulk completion (:meth:`_complete_planned`); every other
         request takes the sequential path (:meth:`_admit`).  The
         planned answers are completed, in request order, before
@@ -602,8 +601,10 @@ class AcceleratorPool:
         # Only the sequential path adds to or flushes a batcher, so
         # this holds across a run of planned requests.
         batching = any(batcher.pending() for batcher in batchers)
+        index, count = 0, len(requests)
         try:
-            for request in requests:
+            while index < count:
+                request = requests[index]
                 now = request.arrival_s
                 if self._first_arrival is None:
                     self._first_arrival = now
@@ -615,11 +616,12 @@ class AcceleratorPool:
                     self._flush(now)
                     batching = any(b.pending() for b in batchers)
                 if request.id in grouped:
-                    self._place(request)
+                    index = self._plan(requests, index, batching)
                 else:
                     self._complete_planned()
                     self._admit(request)
                     batching = any(b.pending() for b in batchers)
+                    index += 1
             self._complete_planned()
             self._flush()
         finally:
@@ -646,100 +648,146 @@ class AcceleratorPool:
         return self._virtual_now
 
     # -- scheduling ----------------------------------------------------------
-    def _place(self, request: PoolRequest) -> None:
-        """The plan step of one settle-group request.
+    def _plan(
+        self, requests: List[PoolRequest], index: int, batching: bool
+    ) -> int:
+        """The plan loop: place ``requests[index]``, a settle-group
+        request, and each later one while the next is one too.
 
-        What :meth:`_admit` and :meth:`_execute_single` do for a
-        request with no deadline, no batching and no hedging: the cache
-        lookup, the shard choice, shedding at a full queue and the
-        ``start = max(arrival, busy_until)`` recurrence, with the
-        settle taken from the group's shared solve (:meth:`_compute`).
-        Only what a later placement reads is booked at once (the
-        shard's queue and ``busy_until``, a reconfiguration, the cached
-        value); the answer joins the planned ones.  A settle that
-        overflowed, or one on a shard whose breaker is not closed, needs
-        its breaker verdict in order: it completes at once, after the
-        planned answers.
+        Stops, returning the index of the first request not placed, at
+        a request off the groups, at one whose arrival a BIST sweep
+        falls due at, or after one request while a batcher holds work
+        (``batching``): those need the sequential path's events first.
+
+        Each placement does what :meth:`_admit` and
+        :meth:`_execute_single` do for a request with no deadline, no
+        batching and no hedging: the cache lookup, the shard choice,
+        shedding at a full queue and the ``start = max(arrival,
+        busy_until)`` recurrence, with the settle taken from the
+        group's shared solve (:meth:`_compute`).  Only what a later
+        placement reads is booked at once (the shard's queue and
+        ``busy_until``, a reconfiguration, the cached value); the
+        answer joins the planned ones, which :meth:`_complete_planned`
+        completes in bulk.  A settle that overflowed, or one on a shard
+        whose breaker is not closed, needs its breaker verdict in
+        order: it completes at once, after the planned answers.
 
         The shard scores (:meth:`_scores`) are kept from one placement
         to the next at the same arrival, function and options, with
         only the chosen shard's score updated: nothing else a score
-        reads changes until the sequential path runs, and
-        :meth:`_complete_planned`, which always runs first, forgets
-        them.
+        reads changes within the loop, except by a completion at once,
+        which forgets them.
         """
-        arrival = request.arrival_s
-        cached = self.cache.get(request.cache_key)
-        if cached is not None:
-            self._planned.append(
-                (request, None, cached, arrival, arrival, 0.0)
-            )
-            return
-        key = (arrival, request.function, request.options)
-        scores = self._plan_scores
-        if scores is None or key != self._plan_key:
-            scores = self._plan_scores = self._scores(request)
-            self._plan_key = key
-        best = min(scores)
-        depth = best[0]
-        shard = self.shards[best[3]]
-        if depth >= self.config.queue_depth:
-            self._planned.append(
-                (request, shard, None, arrival, arrival, 0.0)
-            )
-            return
-        breaker = shard.breaker
-        closed = breaker.closed
-        if not closed:
-            breaker.acquire_probe(arrival)
-        start = max(arrival, shard.busy_until)
-        function = request.function
-        acc = shard.accelerator
-        token = self._token(acc)
-        result = self._settled_rows.pop((token, request.id), None)
-        if result is None:
-            result = self._compute(acc, request, token)
-        n, m = request.p.shape[0], request.q.shape[0]
-        if shard.current_function != function:
-            service = service_s(
-                function,
-                n,
-                m,
-                acc.dac,
-                acc.adc,
-                self._reconfigure(shard, function) + settle_s(function, n, m),
-            )
-        else:
-            # With no reconfiguration (reconfig + settle == settle)
-            # the service time is one value per shard and settle key.
-            memo = (shard.index, request.settle_key)
-            service = self._services.get(memo)
-            if service is None:
-                service = self._services[memo] = service_s(
-                    function, n, m, acc.dac, acc.adc
-                )
-        if result.overflow or not closed:
-            self._complete_planned()
-            self.metrics.counter("cache_misses").inc()
-            self._complete(
-                shard,
-                [request],
-                [result.value],
-                result.overflow,
-                start,
-                service,
-            )
-            return
-        finish = start + service
-        shard.busy_until = finish
-        shard.assign(finish)
-        # Its new score: one more unfinished settle (finishing after
-        # the arrival), the function resident, busy until the finish.
-        scores[scores.index(best)] = (depth + 1, 0, finish, shard.index)
-        self.cache.put(request.cache_key, result.value)
-        self._planned.append(
-            (request, shard, result.value, start, finish, service)
-        )
+        grouped = self._settle_key_of
+        interval = self.config.bist_interval_s
+        last_bist_s = self._last_bist_s
+        queue_depth = self.config.queue_depth
+        shards = self.shards
+        cache_get = self.cache.get
+        cache_put = self.cache.put
+        settled_rows = self._settled_rows
+        services = self._services
+        planned = self._planned
+        count = len(requests)
+        scores: Optional[List[Tuple[int, int, float, int]]] = None
+        scored: Tuple = ()
+        while True:
+            request = requests[index]
+            index += 1
+            arrival = request.arrival_s
+            cached = cache_get(request.cache_key)
+            if cached is not None:
+                planned.append((request, None, cached, arrival, arrival, 0.0))
+            else:
+                function = request.function
+                key = (arrival, function, request.options)
+                if scores is None or key != scored:
+                    scores = self._scores(request)
+                    scored = key
+                best = min(scores)
+                depth = best[0]
+                shard = shards[best[3]]
+                if depth >= queue_depth:
+                    planned.append(
+                        (request, shard, None, arrival, arrival, 0.0)
+                    )
+                else:
+                    breaker = shard.breaker
+                    closed = breaker.closed
+                    if not closed:
+                        breaker.acquire_probe(arrival)
+                    start = max(arrival, shard.busy_until)
+                    acc = shard.accelerator
+                    token = self._token(acc)
+                    result = settled_rows.pop((token, request.id), None)
+                    if result is None:
+                        result = self._compute(acc, request, token)
+                    n, m = request.p.shape[0], request.q.shape[0]
+                    if shard.current_function != function:
+                        service = service_s(
+                            function,
+                            n,
+                            m,
+                            acc.dac,
+                            acc.adc,
+                            self._reconfigure(shard, function)
+                            + settle_s(function, n, m),
+                        )
+                    else:
+                        # With no reconfiguration (reconfig + settle ==
+                        # settle) the service time is one value per
+                        # shard and settle key.
+                        memo = (shard.index, request.settle_key)
+                        service = services.get(memo)
+                        if service is None:
+                            service = services[memo] = service_s(
+                                function, n, m, acc.dac, acc.adc
+                            )
+                    if result.overflow or not closed:
+                        self._complete_planned()
+                        planned = self._planned
+                        scores = None
+                        self.metrics.counter("cache_misses").inc()
+                        self._complete(
+                            shard,
+                            [request],
+                            [result.value],
+                            result.overflow,
+                            start,
+                            service,
+                        )
+                    else:
+                        finish = start + service
+                        shard.busy_until = finish
+                        shard.assign(finish)
+                        # Its new score: one more unfinished settle
+                        # (finishing after the arrival), the function
+                        # resident, busy until the finish.
+                        scores[scores.index(best)] = (
+                            depth + 1,
+                            0,
+                            finish,
+                            shard.index,
+                        )
+                        cache_put(request.cache_key, result.value)
+                        planned.append(
+                            (
+                                request,
+                                shard,
+                                result.value,
+                                start,
+                                finish,
+                                service,
+                            )
+                        )
+            if batching or index == count:
+                return index
+            following = requests[index]
+            if following.id not in grouped or (
+                interval > 0
+                and following.arrival_s - last_bist_s >= interval
+            ):
+                return index
 
     def _admit(self, request: PoolRequest) -> None:
         cached = self.cache.get(request.cache_key)
@@ -1110,7 +1158,7 @@ class AcceleratorPool:
 
     def _index_settles(self, requests: List[PoolRequest]) -> None:
         """Group a drain's requests by settle key: each request of a
-        group takes the plan step (:meth:`_place`).
+        group takes the plan loop (:meth:`_plan`).
 
         Only keys shared by two or more requests are kept: a lone
         request has nothing to share its settle with.  A request whose
@@ -1193,9 +1241,11 @@ class AcceleratorPool:
                 rows.append(k)
         stacks = self._settle_stacks.get(key)
         if stacks is None:
+            # The key fixes both lengths, so np.array stacks the rows
+            # as np.stack would, at a third of its cost.
             stacks = self._settle_stacks[key] = (
-                np.stack([r.p for r in group]),
-                np.stack([r.q for r in group]),
+                np.array([r.p for r in group]),
+                np.array([r.q for r in group]),
             )
         if len(rows) < len(group):
             stacks = (stacks[0][rows], stacks[1][rows])
@@ -1425,7 +1475,7 @@ class AcceleratorPool:
         return power_w
 
     def _complete_planned(self) -> None:
-        """The bulk completion of the planned answers (see :meth:`_place`).
+        """The bulk completion of the planned answers (see :meth:`_plan`).
 
         In request order: the busy time, served count, energy and
         breaker success of each executed request, and one list of
@@ -1435,10 +1485,8 @@ class AcceleratorPool:
         tally, and each latency histogram takes its answers' latencies
         in one :meth:`~repro.serving.metrics.LatencyHistogram.
         record_many` — the state :meth:`_complete` and :meth:`_reply`
-        leave one request at a time.  The plan step's shard scores are
-        forgotten: the sequential path runs next.
+        leave one request at a time.
         """
-        self._plan_scores = None
         planned = self._planned
         if not planned:
             return
