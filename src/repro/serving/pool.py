@@ -52,6 +52,7 @@ returns true distance values while modelling data-center latency.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from collections import deque
 from typing import (
@@ -358,7 +359,10 @@ class _Shard:
         return len(unfinished) + self.batcher.pending()
 
     def assign(self, finish_s: float, count: int = 1) -> None:
-        self._unfinished.extend([finish_s] * count)
+        if count == 1:
+            self._unfinished.append(finish_s)
+        else:
+            self._unfinished.extend([finish_s] * count)
 
 
 class AcceleratorPool:
@@ -597,10 +601,9 @@ class AcceleratorPool:
             self._index_settles(requests)
         grouped = self._settle_key_of
         interval = self.config.bist_interval_s
-        batchers = [shard.batcher for shard in self.shards]
         # Only the sequential path adds to or flushes a batcher, so
         # this holds across a run of planned requests.
-        batching = any(batcher.pending() for batcher in batchers)
+        flush_s = self._next_flush_s()
         index, count = 0, len(requests)
         try:
             while index < count:
@@ -608,19 +611,19 @@ class AcceleratorPool:
                 now = request.arrival_s
                 if self._first_arrival is None:
                     self._first_arrival = now
-                if batching or (
+                if now >= flush_s or (
                     interval > 0 and now - self._last_bist_s >= interval
                 ):
                     self._complete_planned()
                     self._maybe_bist(now)
                     self._flush(now)
-                    batching = any(b.pending() for b in batchers)
+                    flush_s = self._next_flush_s()
                 if request.id in grouped:
-                    index = self._plan(requests, index, batching)
+                    index = self._plan(requests, index, flush_s)
                 else:
                     self._complete_planned()
                     self._admit(request)
-                    batching = any(b.pending() for b in batchers)
+                    flush_s = self._next_flush_s()
                     index += 1
             self._complete_planned()
             self._flush()
@@ -649,15 +652,15 @@ class AcceleratorPool:
 
     # -- scheduling ----------------------------------------------------------
     def _plan(
-        self, requests: List[PoolRequest], index: int, batching: bool
+        self, requests: List[PoolRequest], index: int, flush_s: float
     ) -> int:
         """The plan loop: place ``requests[index]``, a settle-group
         request, and each later one while the next is one too.
 
         Stops, returning the index of the first request not placed, at
-        a request off the groups, at one whose arrival a BIST sweep
-        falls due at, or after one request while a batcher holds work
-        (``batching``): those need the sequential path's events first.
+        a request off the groups, or at one whose arrival a BIST sweep
+        or a batch (due at ``flush_s``, see :meth:`_next_flush_s`)
+        falls due at: those need the sequential path's events first.
 
         Each placement does what :meth:`_admit` and
         :meth:`_execute_single` do for a request with no deadline, no
@@ -691,6 +694,9 @@ class AcceleratorPool:
         count = len(requests)
         scores: Optional[List[Tuple[int, int, float, int]]] = None
         scored: Tuple = ()
+        # Each shard's token (see _token): no fault epoch moves within
+        # the loop.
+        tokens: Dict[int, Optional[int]] = {}
         while True:
             request = requests[index]
             index += 1
@@ -718,7 +724,10 @@ class AcceleratorPool:
                         breaker.acquire_probe(arrival)
                     start = max(arrival, shard.busy_until)
                     acc = shard.accelerator
-                    token = self._token(acc)
+                    if shard.index in tokens:
+                        token = tokens[shard.index]
+                    else:
+                        token = tokens[shard.index] = self._token(acc)
                     result = settled_rows.pop((token, request.id), None)
                     if result is None:
                         result = self._compute(acc, request, token)
@@ -780,14 +789,29 @@ class AcceleratorPool:
                                 service,
                             )
                         )
-            if batching or index == count:
+            if index == count:
                 return index
             following = requests[index]
-            if following.id not in grouped or (
-                interval > 0
-                and following.arrival_s - last_bist_s >= interval
+            if (
+                following.id not in grouped
+                or following.arrival_s >= flush_s
+                or (
+                    interval > 0
+                    and following.arrival_s - last_bist_s >= interval
+                )
             ):
                 return index
+
+    def _next_flush_s(self) -> float:
+        """Earliest instant a shard's batch falls due (``inf`` while no
+        batcher holds work): before it, :meth:`_flush` has nothing to
+        execute."""
+        flush_s = math.inf
+        for shard in self.shards:
+            due = shard.batcher.next_deadline()
+            if due is not None and due < flush_s:
+                flush_s = due
+        return flush_s
 
     def _admit(self, request: PoolRequest) -> None:
         cached = self.cache.get(request.cache_key)
@@ -1478,7 +1502,7 @@ class AcceleratorPool:
         """The bulk completion of the planned answers (see :meth:`_plan`).
 
         In request order: the busy time, served count, energy and
-        breaker success of each executed request, and one list of
+        breaker success of each executed request, and each answer's
         :class:`PoolResponse` (an executed request answers ``"ok"`` at
         its finish, a cache hit at its arrival, a shed request with no
         value).  Then each status and cache counter goes up once by its
@@ -1491,9 +1515,9 @@ class AcceleratorPool:
         if not planned:
             return
         self._planned = []
-        responses = []
+        store = self.responses
         latencies: List[float] = []
-        by_function: Dict[str, List[float]] = {}
+        functions: List[str] = []
         hits = served = 0
         energy_j = self._energy_j
         row_busy_s = self._row_busy_s
@@ -1523,32 +1547,26 @@ class AcceleratorPool:
                     row_busy_s += service
                 shard.breaker.on_success(finish)
             # Positional, in field order (see ``submit``).
-            responses.append(
-                PoolResponse(
-                    request.id,
-                    function,
-                    status,
-                    value,
-                    arrival,
-                    start,
-                    finish,
-                    index,
-                    shard is None,
-                    False,
-                    1,
-                    False,
-                )
+            store[request.id] = PoolResponse(
+                request.id,
+                function,
+                status,
+                value,
+                arrival,
+                start,
+                finish,
+                index,
+                shard is None,
+                False,
+                1,
+                False,
             )
             if value is not None:
-                latency = finish - arrival
-                latencies.append(latency)
-                by_function.setdefault(function, []).append(latency)
+                latencies.append(finish - arrival)
+                functions.append(function)
         self._energy_j = energy_j
         self._row_busy_s = row_busy_s
         self._last_finish = last_finish
-        self.responses.update(
-            (response.request_id, response) for response in responses
-        )
         counter = self.metrics.counter
         shed = len(planned) - hits - served
         for name, tally in (
@@ -1562,8 +1580,17 @@ class AcceleratorPool:
         if latencies:
             histogram = self.metrics.histogram
             histogram("latency").record_many(latencies)
-            for function, values in by_function.items():
-                histogram(f"latency.{function}").record_many(values)
+            names = dict.fromkeys(functions)
+            for name in names:
+                histogram(f"latency.{name}").record_many(
+                    latencies
+                    if len(names) == 1
+                    else [
+                        latency
+                        for latency, function in zip(latencies, functions)
+                        if function == name
+                    ]
+                )
 
     def _reply(
         self,

@@ -267,6 +267,85 @@ class TestCoalescedMatchesEager:
         assert sorted(calls["compute_many"]) == [6, 6, 6, 6]
 
 
+def _sequential(self, requests):
+    """No settle groups: every request takes the per-request path."""
+
+
+class TestPlanMatchesSequential:
+    """The plan loop and bulk completion leave the state the
+    per-request path leaves: the same responses, counters, histograms,
+    busy times and energy, bit for bit."""
+
+    @staticmethod
+    def _compare(monkeypatch, build, streams):
+        def drive(pool):
+            responses = [r for s in streams for r in _serve(pool, s)]
+            return _observe(pool, responses)
+
+        planned_pool = build()
+        planned = drive(planned_pool)
+        with monkeypatch.context() as patch:
+            patch.setattr(AcceleratorPool, "_index_settles", _sequential)
+            sequential = drive(build())
+        assert planned == sequential
+        return planned_pool
+
+    def test_mixed_traffic_with_batching_and_repeats(self, monkeypatch, rng):
+        # One settle group of DTW pairs arriving one by one, a fan-out,
+        # and batched row requests whose windows fall due between the
+        # group's arrivals, with a threshold function; the second drain
+        # repeats the first, so its answers come from the cache.
+        stream = _fanout(rng, users=2, train=10, length=8, gap_s=5.0e-7)
+        for t in np.linspace(0.0, 2.0e-6, 40):
+            p, q = rng.normal(size=8), rng.normal(size=8)
+            stream.append(("dtw", p, q, float(t)))
+        for t in np.linspace(0.0, 2.0e-6, 6):
+            p, q = rng.normal(size=8), rng.normal(size=8)
+            stream.append(("manhattan", p, q, float(t)))
+            stream.append(("lcs", p, q, float(t), {"threshold": 0.5}))
+        stream.sort(key=lambda item: item[3])
+        repeat = [
+            (function, p, q, arrival + 2.0e-6, *kwargs)
+            for function, p, q, arrival, *kwargs in stream
+        ]
+        pool = self._compare(
+            monkeypatch,
+            lambda: AcceleratorPool(
+                n_shards=3, config=PoolConfig(batch_window_s=3.0e-7)
+            ),
+            [stream, repeat],
+        )
+        counters = pool.metrics.as_dict()["counters"]
+        assert counters["batches"] and counters["cache_hits"]
+
+    def test_shedding_and_mid_drain_bist(self, monkeypatch, rng):
+        # A short queue sheds part of each burst; a drifted shard is
+        # repaired by a BIST sweep that falls due mid-drain.
+        stream = [
+            (function, p, q, arrival * 4.0)
+            for function, p, q, arrival in _fanout(
+                rng, users=4, train=12, length=8, gap_s=1.0e-6
+            )
+        ]
+        drift = DriftFault(rate=1.0, age_s=3.0e7, scale_per_decade=0.02)
+
+        def build():
+            pool = AcceleratorPool(
+                n_shards=2,
+                config=PoolConfig(
+                    queue_depth=5,
+                    bist_interval_s=3.0e-6,
+                    batch_window_s=1.0e-7,
+                ),
+            )
+            pool.inject_faults(FaultInjector([drift], seed=3), indices=[0])
+            return pool
+
+        pool = self._compare(monkeypatch, build, [stream])
+        counters = pool.metrics.as_dict()["counters"]
+        assert counters["shed"] and counters["faults_bist_runs"]
+
+
 class TestDrainState:
     def test_rows_cleared_when_drain_raises(self, rng):
         pool = AcceleratorPool(n_shards=2)
