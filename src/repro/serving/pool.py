@@ -359,10 +359,7 @@ class _Shard:
         return len(unfinished) + self.batcher.pending()
 
     def assign(self, finish_s: float, count: int = 1) -> None:
-        if count == 1:
-            self._unfinished.append(finish_s)
-        else:
-            self._unfinished.extend([finish_s] * count)
+        self._unfinished.extend([finish_s] * count)
 
 
 class AcceleratorPool:
@@ -694,9 +691,6 @@ class AcceleratorPool:
         count = len(requests)
         scores: Optional[List[Tuple[int, int, float, int]]] = None
         scored: Tuple = ()
-        # Each shard's token (see _token): no fault epoch moves within
-        # the loop.
-        tokens: Dict[int, Optional[int]] = {}
         while True:
             request = requests[index]
             index += 1
@@ -724,10 +718,7 @@ class AcceleratorPool:
                         breaker.acquire_probe(arrival)
                     start = max(arrival, shard.busy_until)
                     acc = shard.accelerator
-                    if shard.index in tokens:
-                        token = tokens[shard.index]
-                    else:
-                        token = tokens[shard.index] = self._token(acc)
+                    token = self._token(acc)
                     result = settled_rows.pop((token, request.id), None)
                     if result is None:
                         result = self._compute(acc, request, token)
